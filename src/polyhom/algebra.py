@@ -132,12 +132,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def is_unimodular(self):
-        return self.rows == self.cols and abs(self.det()) == 1
-
-    def to_lists(self):
-        return self.row_lists()
-
     def __str__(self):
         return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import FinAbelianGroup, GroupElement, group_from_addition
 from .polygroupoid import AxiomCheck, AxiomReport, Polygroupoid, _config_key, _parse_config_key
@@ -68,13 +69,22 @@ class ActionTable:
     def apply(self, config, gamma: GroupElement, elem):
         return self.action[tuple(config)][elem][gamma.coords]
 
+    @cached_property
+    def _differences(self):
+        """config -> (w, w2) -> coords of the unique gamma with
+        gamma.w = w2, or None when several gammas do."""
+        out = {}
+        for config, ws in self.action.items():
+            table = out[config] = {}
+            for w, orbit in ws.items():
+                for coords, img in orbit.items():
+                    table[(w, img)] = None if (w, img) in table else coords
+        return out
+
     def difference(self, config, w, w2):
         """The unique gamma with gamma.w = w2, or None."""
-        table = self.action[tuple(config)][w]
-        found = [g for g, img in table.items() if img == w2]
-        if len(found) == 1:
-            return self.group.element(found[0])
-        return None
+        coords = self._differences[tuple(config)].get((w, w2))
+        return None if coords is None else self.group.element(coords)
 
     def to_json_dict(self):
         return {
@@ -182,6 +192,13 @@ def _class_permutations(tc: TransportClass):
             )
         perms.append(out)
     return perms
+
+
+def base_config(h: Polygroupoid):
+    """The first top-sort configuration, where extraction starts."""
+    if not h.top_configs:
+        raise ExtractionError("base-fiber", {"reason": "no top-sort fiber"})
+    return h.top_configs[0]
 
 
 def extract(h: Polygroupoid, z):

@@ -18,7 +18,7 @@ import sys
 
 from . import selftest as selftest_mod
 from .algebra import BoundaryCompositionError, IntMatrix, abelian_group, homology
-from .binding import ExtractionError, extract
+from .binding import ExtractionError, base_config, extract
 from .hurewicz import verdict
 from .polygroupoid import (
     check_all_associativity,
@@ -136,7 +136,7 @@ def cmd_extract(args):
         _emit(args, {"command": "extract", "precondition": report}, _report_lines(report))
         return 1
     try:
-        group, act = extract(h, h.top_configs[0])
+        group, act = extract(h, base_config(h))
     except ExtractionError as exc:
         payload = {"command": "extract", "passed": False, "stage": exc.stage, "witness": exc.witness}
         _emit(args, payload, [f"FAIL extraction at {exc.stage}", json.dumps(exc.witness)])
@@ -228,7 +228,7 @@ def cmd_tower_limit(args):
         return 1
     try:
         acts = {
-            u: extract(tower.nodes[u], tower.nodes[u].top_configs[0])[1]
+            u: extract(tower.nodes[u], base_config(tower.nodes[u]))[1]
             for u in tower.poset.nodes
         }
         gt = group_tower_from_poly(tower, acts)

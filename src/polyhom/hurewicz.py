@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import FinAbelianGroup, GroupElement, group_from_addition, iso_check
-from .binding import ActionTable, ExtractionError, extract
+from .binding import ActionTable, ExtractionError, base_config, extract
 from .polygroupoid import Polygroupoid, _config_key
 
 
@@ -75,18 +75,28 @@ def canonical_faces(h: Polygroupoid):
     return out
 
 
+def _simplex_faces(canon, vertices):
+    """The canonical face over each n-subset of an (n+1)-subset, by
+    dropped position."""
+    return tuple(canon[vertices[:i] + vertices[i + 1 :]] for i in range(len(vertices)))
+
+
+def _pair_faces(canon, vertices):
+    """The canonical face over each n-subset of an (n+2)-subset, by the
+    pair of dropped positions."""
+    return {
+        (i, j): canon[tuple(v for k, v in enumerate(vertices) if k not in (i, j))]
+        for i, j in itertools.combinations(range(len(vertices)), 2)
+    }
+
+
 def simplex_datum(h: Polygroupoid, group: FinAbelianGroup, vertices, twists=None, faces=None):
     """Datum over an (n+1)-subset with the given or canonical faces."""
     n = h.arity
     vertices = tuple(sorted(vertices))
     if len(vertices) != n + 1:
         raise ValueError("need n+1 vertices")
-    if faces is None:
-        canon = canonical_faces(h)
-        faces = tuple(
-            canon[tuple(v for v in vertices if v != vertices[i])] for i in range(n + 1)
-        )
-    faces = tuple(faces)
+    faces = _simplex_faces(canonical_faces(h), vertices) if faces is None else tuple(faces)
     for i, f in enumerate(faces):
         expected = tuple(v for v in vertices if v != vertices[i])
         if f.config != expected:
@@ -105,16 +115,13 @@ def cosimplex_datum(h: Polygroupoid, group: FinAbelianGroup, vertices, twists=No
     vertices = tuple(sorted(vertices))
     if len(vertices) != n + 2:
         raise ValueError("need n+2 vertices")
-    canon = canonical_faces(h) if faces is None else None
+    if faces is None:
+        faces = _pair_faces(canonical_faces(h), vertices)
     pairs = {}
     for i, j in itertools.combinations(range(n + 2), 2):
-        config = tuple(v for k, v in enumerate(vertices) if k not in (i, j))
-        if faces is None:
-            face = canon[config]
-        else:
-            face = faces[(i, j)]
-            if face.config != config:
-                raise ValueError(f"pair face {(i, j)} sits over the wrong config")
+        face = faces[(i, j)]
+        if face.config != tuple(v for k, v in enumerate(vertices) if k not in (i, j)):
+            raise ValueError(f"pair face {(i, j)} sits over the wrong config")
         twist = group.zero() if twists is None else twists[(i, j)]
         pairs[(i, j)] = (face, twist)
     return CoSimplexDatum(vertices, pairs)
@@ -126,27 +133,7 @@ def embedded(h: Polygroupoid, act: ActionTable, g: SimplexDatum):
     )
 
 
-class _ActionIndex:
-    """O(1) difference lookups on top of an ActionTable."""
-
-    def __init__(self, act: ActionTable):
-        self.act = act
-        self.diff = {}
-        for config, ws in act.action.items():
-            table = {}
-            for w, orbit in ws.items():
-                for gcoords, img in orbit.items():
-                    table[(w, img)] = gcoords
-            self.diff[config] = table
-
-    def difference(self, config, w, w2):
-        coords = self.diff[tuple(config)].get((w, w2))
-        if coords is None:
-            return None
-        return self.act.group.element(coords)
-
-
-def epsilon(h: Polygroupoid, act: ActionTable, g: SimplexDatum, _index=None) -> GroupElement:
+def epsilon(h: Polygroupoid, act: ActionTable, g: SimplexDatum) -> GroupElement:
     """The unique gamma with Q(e_0, ..., e_{n-1}, gamma.e_n)."""
     n = h.arity
     e = embedded(h, act, g)
@@ -156,10 +143,7 @@ def epsilon(h: Polygroupoid, act: ActionTable, g: SimplexDatum, _index=None) -> 
         raise EpsilonError(
             "no unique horn filler", {"horn": list(rest), "fillers": len(fillers)}
         )
-    if _index is not None:
-        gamma = _index.difference(g.faces[n].config, e[n], fillers[0])
-    else:
-        gamma = act.difference(g.faces[n].config, e[n], fillers[0])
+    gamma = act.difference(g.faces[n].config, e[n], fillers[0])
     if gamma is None:
         raise EpsilonError(
             "action not transitive on fiber", {"from": e[n], "to": fillers[0]}
@@ -193,19 +177,24 @@ def co_face(g: CoSimplexDatum, j: int) -> SimplexDatum:
     return SimplexDatum(vertices, tuple(faces), tuple(twists))
 
 
-def check_boundary_zero(h, act, g: CoSimplexDatum, _index=None) -> bool:
+def check_boundary_zero(h, act, g: CoSimplexDatum) -> bool:
     """Whether the alternating sum of the face defects vanishes."""
     group = act.group
     acc = group.zero()
     for j in range(len(g.vertices)):
-        val = epsilon(h, act, co_face(g, j), _index)
+        val = epsilon(h, act, co_face(g, j))
         acc = group.add(acc, val) if j % 2 == 0 else group.sub(acc, val)
     return acc == group.zero()
 
 
 def natural_iso(group: FinAbelianGroup, g: SimplexDatum, g2: SimplexDatum):
     """Twist-difference certificate: present exactly when the
-    alternating sum of the per-face twist differences vanishes."""
+    alternating sum of the per-face twist differences vanishes.
+
+    The alternating sum is a homomorphism G^(n+1) -> G, so
+    alt(t2 - t1) = alt(t2) - alt(t1): a certificate exists exactly when
+    alt(t1) == alt(t2).  `verdict` therefore keys twist vectors by their
+    alternating sum instead of comparing them pairwise."""
     if g.vertices != g2.vertices:
         raise ValueError("data sit over different vertex sets")
     if g.faces != g2.faces:
@@ -267,10 +256,19 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
 
     (i) extract the group and action; (ii) the defect vanishes on
     boundaries of (n+2)-vertex data, exhaustively when the twist space
-    is small (arity 2, order <= 4) and sampled otherwise; (iii) equal
-    defect is equivalent to a natural-isomorphism certificate over fixed
-    faces; (iv) twisting reaches every group element; (v) the group of
-    twist classes under natural isomorphism matches the extracted group.
+    is small (arity 2, order <= 4) and sampled otherwise -- the only
+    stage that samples; (iii) equal defect is equivalent to a
+    natural-isomorphism certificate over fixed faces; (iv) twisting
+    reaches every group element; (v) the group of twist classes under
+    natural isomorphism matches the extracted group.
+
+    Stages (iii) and (v) key each twist vector t by alt(t), its
+    alternating sum, which decides natural isomorphism (see
+    `natural_iso`).  The pairwise law of (iii) then says that the map
+    alt(t) -> eps is well defined and injective; one pass over the
+    |G|^(n+1) vectors in product order checks both, and the first
+    collision in either direction is the witness pair.  In (v) the first
+    vector of each key, in product order, represents its class.
     """
     n = h.arity
     rng = random.Random(seed)
@@ -280,13 +278,12 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
     pocket = None
 
     try:
-        z0 = h.top_configs[0]
-        group, act = extract(h, z0)
+        group, act = extract(h, base_config(h))
         stages["extract"] = {"passed": True, "group": str(group)}
-    except (ExtractionError, IndexError) as exc:
+    except ExtractionError as exc:
         stages["extract"] = {"passed": False, "witness": str(exc)}
         return VerdictReport(stages, None, None, False)
-    index = _ActionIndex(act)
+    canon = canonical_faces(h)
 
     exhaustive = n == 2 and group.order() <= 4
     witness = None
@@ -294,12 +291,13 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
     try:
         for big in itertools.combinations(h.vertices, n + 2):
             pair_keys = list(itertools.combinations(range(n + 2), 2))
+            faces = _pair_faces(canon, big)
             for vec in _twist_vectors(
                 group, len(pair_keys), exhaustive, max(1, samples // max(1, _n_subsets(h, n + 2))), rng
             ):
-                datum = cosimplex_datum(h, group, big, twists=dict(zip(pair_keys, vec)))
+                datum = cosimplex_datum(h, group, big, twists=dict(zip(pair_keys, vec)), faces=faces)
                 checked += 1
-                if not check_boundary_zero(h, act, datum, index):
+                if not check_boundary_zero(h, act, datum):
                     witness = {
                         "vertices": list(big),
                         "twists": {f"{i},{j}": list(g.coords) for (i, j), g in zip(pair_keys, vec)},
@@ -318,46 +316,48 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
 
     witness = None
     checked = 0
-    base_faces = min(itertools.combinations(h.vertices, n + 1))
-    pair_space = group.order() ** (2 * (n + 1))
-    pairs_exhaustive = pair_space <= 70000
+    base_vertices = min(itertools.combinations(h.vertices, n + 1))
+    base_faces = _simplex_faces(canon, base_vertices)
+    vectors = list(itertools.product(group.elements(), repeat=n + 1))
+
+    def datum(t):
+        return simplex_datum(h, group, base_vertices, twists=t, faces=base_faces)
+
     try:
-        if pairs_exhaustive:
-            source = itertools.product(
-                itertools.product(group.elements(), repeat=n + 1), repeat=2
-            )
-        else:
-            source = _sampled_twist_pairs(group, n, samples, rng)
-        for t1, t2 in source:
-            g1 = simplex_datum(h, group, base_faces, twists=t1)
-            g2 = simplex_datum(h, group, base_faces, twists=t2)
+        by_key = {}  # alt(t) -> (eps, t) of the first vector with that key
+        by_eps = {}  # eps -> (alt(t), t) of the first vector with that defect
+        for t in vectors:
             checked += 1
-            same_eps = epsilon(h, act, g1, index) == epsilon(h, act, g2, index)
-            cert = natural_iso(group, g1, g2)
-            if same_eps != (cert is not None):
-                witness = {
-                    "twists": [[list(g.coords) for g in t1], [list(g.coords) for g in t2]],
-                    "equal_defect": same_eps,
-                    "certificate": cert is not None,
-                }
-                break
+            key = group.alternating_sum(t)
+            eps = epsilon(h, act, datum(t))
+            if by_key.setdefault(key, (eps, t))[0] != eps:
+                t1 = by_key[key][1]
+            elif by_eps.setdefault(eps, (key, t))[0] != key:
+                t1 = by_eps[eps][1]
+            else:
+                continue
+            witness = {
+                "twists": [[list(g.coords) for g in t1], [list(g.coords) for g in t]],
+                "equal_defect": epsilon(h, act, datum(t1)) == eps,
+                "certificate": natural_iso(group, datum(t1), datum(t)) is not None,
+            }
+            break
     except EpsilonError as exc:
         witness = {"reason": exc.reason, "detail": exc.witness}
     stages["defect-vs-natural-iso"] = {
         "passed": witness is None,
         "checked": checked,
-        "exhaustive": pairs_exhaustive,
         "witness": witness,
     }
 
     witness = None
     try:
         for big in itertools.combinations(h.vertices, n + 1):
-            g0 = simplex_datum(h, group, big)
-            base = epsilon(h, act, g0, index)
+            g0 = simplex_datum(h, group, big, faces=_simplex_faces(canon, big))
+            base = epsilon(h, act, g0)
             reached = set()
             for gamma in group.elements():
-                shifted = epsilon(h, act, twist_by(group, g0, gamma), index)
+                shifted = epsilon(h, act, twist_by(group, g0, gamma))
                 reached.add(group.sub(shifted, base))
             if reached != set(group.elements()):
                 witness = {"vertices": list(big), "reached": sorted(str(list(g.coords)) for g in reached)}
@@ -366,34 +366,23 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
         witness = {"reason": exc.reason, "detail": exc.witness}
     stages["twist-surjectivity"] = {"passed": witness is None, "witness": witness}
 
-    witness = None
     try:
-        vectors = list(itertools.product(group.elements(), repeat=n + 1))
+        class_of = {}  # alt(t) -> class index
         reps = []
-        class_of = {}
-        for vec in vectors:
-            g_vec = simplex_datum(h, group, base_faces, twists=vec)
-            for idx, rep in enumerate(reps):
-                g_rep = simplex_datum(h, group, base_faces, twists=rep)
-                if natural_iso(group, g_rep, g_vec) is not None:
-                    class_of[vec] = idx
-                    break
-            else:
-                class_of[vec] = len(reps)
-                reps.append(vec)
+        for t in vectors:
+            key = group.alternating_sum(t)
+            if key not in class_of:
+                class_of[key] = len(reps)
+                reps.append(t)
 
         def add_classes(a, b):
-            s = tuple(group.add(x, y) for x, y in zip(reps[a], reps[b]))
-            return class_of[s]
+            s = [group.add(x, y) for x, y in zip(reps[a], reps[b])]
+            return class_of[group.alternating_sum(s)]
 
-        zero_vec = tuple(group.zero() for _ in range(n + 1))
-        pocket, _, _ = group_from_addition(
-            range(len(reps)), add_classes, class_of[zero_vec]
-        )
+        pocket, _, _ = group_from_addition(range(len(reps)), add_classes, class_of[group.zero()])
         stages["pocket-group"] = {"passed": True, "classes": len(reps)}
     except ValueError as exc:
-        witness = {"reason": str(exc)}
-        stages["pocket-group"] = {"passed": False, "witness": witness}
+        stages["pocket-group"] = {"passed": False, "witness": {"reason": str(exc)}}
 
     isomorphic = pocket is not None and iso_check(pocket, group)
     return VerdictReport(stages, group, pocket, isomorphic)
@@ -401,24 +390,3 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
 
 def _n_subsets(h, k):
     return max(1, sum(1 for _ in itertools.combinations(h.vertices, k)))
-
-
-def _sampled_twist_pairs(group, n, samples, rng):
-    pool = list(group.elements())
-
-    def vec():
-        return tuple(rng.choice(pool) for _ in range(n + 1))
-
-    for i in range(samples):
-        t1 = vec()
-        if i % 2 == 0:
-            # pair with a certified-equivalent partner: differences with
-            # vanishing alternating sum
-            head = [rng.choice(pool) for _ in range(n)]
-            acc = group.alternating_sum(head)
-            last = group.neg(acc) if n % 2 == 0 else acc
-            delta = head + [last]
-            t2 = tuple(group.add(a, d) for a, d in zip(t1, delta))
-        else:
-            t2 = vec()
-        yield t1, t2

@@ -118,7 +118,7 @@ class Polygroupoid:
     def fillers(self):
         """(slot, tuple-with-slot-removed) -> fillers, for horn lookups."""
         out = {}
-        for tup in self.q:
+        for tup in sorted(self.q):
             for slot in range(len(tup)):
                 key = (slot, tup[:slot] + tup[slot + 1 :])
                 out.setdefault(key, []).append(tup[slot])

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from polyhom.cli import main
 from polyhom.faults import duplicate_horn, shift_q
-from polyhom.polygroupoid import from_json, standard
+from polyhom.polygroupoid import from_json, scramble, standard
 from polyhom.algebra import abelian_group
 
 
@@ -66,6 +69,22 @@ class TestCheck:
         assert tuple(fail["witness"]["first"]) in again.q
         assert tuple(fail["witness"]["second"]) in again.q
 
+    def test_report_bytes_independent_of_hash_seed(self, tmp_path):
+        h = scramble(duplicate_horn(standard(abelian_group(16), range(5), 2)), 5)
+        path = tmp_path / "dup.json"
+        path.write_text(h.to_json())
+        outs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            proc = subprocess.run(
+                [sys.executable, "-m", "polyhom", "check", "--in", str(path)],
+                capture_output=True, env=env, check=False,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"arity": 2,')
@@ -102,6 +121,15 @@ class TestExtractCommand:
         payload = json.loads(out)
         assert payload["group"]["invariant_factors"] == [4]
         assert "action" in payload
+
+    def test_no_top_fiber_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"arity":2,"vertices":[0,1,2],"fibers":{},"pi":{},"Q":[]}')
+        code, out, _ = run(capsys, "extract", "--in", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["stage"] == "base-fiber"
 
 
 class TestHomologyCommand:

@@ -1,9 +1,11 @@
+import copy
 import itertools
 
 import pytest
 
+import polyhom.hurewicz
 from polyhom.algebra import FinAbelianGroup, abelian_group, iso_check
-from polyhom.binding import extract
+from polyhom.binding import ActionTable, extract
 from polyhom.faults import shift_q
 from polyhom.hurewicz import (
     AbstractFace,
@@ -203,6 +205,28 @@ class TestNaturalIso:
                 assert same == (natural_iso(group, g1, g2) is not None)
 
 
+class TestDifference:
+    def test_unique_gamma(self):
+        h, coords, group, act = setup_z4()
+        for config, ws in act.action.items():
+            for w, orbit in ws.items():
+                for gcoords, img in orbit.items():
+                    assert act.difference(config, w, img) == group.element(gcoords)
+
+    def test_ambiguous_pair_is_none(self):
+        h, coords, group, act = setup_z4()
+        action = copy.deepcopy(act.action)
+        w = h.fiber((0, 1))[0]
+        orbit = action[(0, 1)][w]
+        lost = orbit[(1,)]
+        orbit[(1,)] = orbit[(2,)]  # gammas 1 and 2 now both send w to one image
+        edited = ActionTable(group, action)
+        assert edited.difference((0, 1), w, orbit[(2,)]) is None
+        assert edited.difference((0, 1), w, lost) is None
+        assert edited.difference((0, 1), w, orbit[(3,)]) == group.element((3,))
+        assert act.difference((0, 1), w, lost) == group.element((1,))
+
+
 class TestTwistBy:
     def test_zero_noop(self):
         h, coords, group, act = setup_z4()
@@ -263,6 +287,35 @@ class TestVerdict:
         report = verdict(standard(Z2, range(5), 3), samples=500)
         assert report.passed
         assert not report.stages["boundary-vanishing"]["exhaustive"]
+
+    def test_defect_stage_exhaustive_over_vectors(self):
+        report = verdict(standard(abelian_group(8), range(4), 2))
+        stage = report.stages["defect-vs-natural-iso"]
+        assert stage["passed"] and stage["checked"] == 8**3
+        assert "exhaustive" not in stage
+
+    @pytest.mark.parametrize(
+        "fake, equal_defect",
+        [
+            (lambda h, act, g: act.group.zero(), True),  # not injective
+            (lambda h, act, g: g.twists[-1], False),  # not a function of alt(t)
+        ],
+    )
+    def test_defect_stage_witness(self, monkeypatch, fake, equal_defect):
+        h = standard(Z4, range(3), 2)
+        group, act = extract(h, (0, 1))
+        monkeypatch.setattr(polyhom.hurewicz, "epsilon", fake)
+        stage = verdict(h).stages["defect-vs-natural-iso"]
+        assert not stage["passed"]
+        witness = stage["witness"]
+        assert witness["equal_defect"] is equal_defect
+        assert witness["certificate"] is not equal_defect
+        g1, g2 = (
+            simplex_datum(h, group, (0, 1, 2), twists=[group.element(c) for c in t])
+            for t in witness["twists"]
+        )
+        assert (fake(h, act, g1) == fake(h, act, g2)) is witness["equal_defect"]
+        assert (natural_iso(group, g1, g2) is not None) is witness["certificate"]
 
     def test_report_json_shape(self):
         report = verdict(standard(Z2, range(3), 2))
