@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -160,21 +162,21 @@ def epsilon_chain(h, act, terms) -> GroupElement:
     return acc
 
 
+def _co_face_pairs(n2, j):
+    """The position pairs read by co-face j of an n2-vertex datum, by
+    face: face k reads the pair {j, m} with m = k for k < j, else k+1."""
+    return [(min(j, m), max(j, m)) for m in range(n2) if m != j]
+
+
 def co_face(g: CoSimplexDatum, j: int) -> SimplexDatum:
-    """Face j of an (n+2)-vertex datum: drop the j-th vertex; face k of
-    the result reads the pair {j, m} with m = k for k < j, else k+1."""
+    """Face j of an (n+2)-vertex datum: drop the j-th vertex; its faces
+    and twists are read from the pairs given by `_co_face_pairs`."""
     n2 = len(g.vertices)
     if not 0 <= j < n2:
         raise ValueError("face index out of range")
     vertices = tuple(v for i, v in enumerate(g.vertices) if i != j)
-    faces = []
-    twists = []
-    for k in range(n2 - 1):
-        m = k if k < j else k + 1
-        face, twist = g.pairs[(min(j, m), max(j, m))]
-        faces.append(face)
-        twists.append(twist)
-    return SimplexDatum(vertices, tuple(faces), tuple(twists))
+    read = [g.pairs[p] for p in _co_face_pairs(n2, j)]
+    return SimplexDatum(vertices, tuple(f for f, _ in read), tuple(t for _, t in read))
 
 
 def check_boundary_zero(h, act, g: CoSimplexDatum) -> bool:
@@ -262,6 +264,14 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
     reaches every group element; (v) the group of twist classes under
     natural isomorphism matches the extracted group.
 
+    Stage (ii) evaluates each co-face defect once per twist key: co-face
+    j of an (n+2)-subset reads only the n+1 twists of the pairs holding
+    j, so a memo per subset and co-face maps that twist tuple to the
+    coordinates of eps, and the alternating sum of a vector is taken on
+    those integers modulo the invariant factors.  The vectors, and so
+    the count, the first failure and the witness, are those of calling
+    `check_boundary_zero` on every datum, which re-checks a witness.
+
     Stages (iii) and (v) key each twist vector t by alt(t), its
     alternating sum, which decides natural isomorphism (see
     `natural_iso`).  The pairwise law of (iii) then says that the map
@@ -286,18 +296,40 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
     canon = canonical_faces(h)
 
     exhaustive = n == 2 and group.order() <= 4
+    pair_keys = list(itertools.combinations(range(n + 2), 2))
+    per_subset = max(1, samples // max(1, math.comb(len(h.vertices), n + 2)))
     witness = None
     checked = 0
     try:
         for big in itertools.combinations(h.vertices, n + 2):
-            pair_keys = list(itertools.combinations(range(n + 2), 2))
             faces = _pair_faces(canon, big)
-            for vec in _twist_vectors(
-                group, len(pair_keys), exhaustive, max(1, samples // max(1, _n_subsets(h, n + 2))), rng
-            ):
-                datum = cosimplex_datum(h, group, big, twists=dict(zip(pair_keys, vec)), faces=faces)
+            zero = cosimplex_datum(h, group, big, faces=faces)
+            # per co-face j: the twist positions it reads, its vertices and
+            # faces, and a memo from its twist tuple to the coordinates of
+            # (-1)^j eps -- eps is a function of the datum, so this is exact
+            cofaces = [
+                (
+                    operator.itemgetter(*(pair_keys.index(p) for p in _co_face_pairs(n + 2, j))),
+                    co_face(zero, j),
+                    -1 if j % 2 else 1,
+                    {},
+                )
+                for j in range(n + 2)
+            ]
+            for vec in _twist_vectors(group, len(pair_keys), exhaustive, per_subset, rng):
                 checked += 1
-                if not check_boundary_zero(h, act, datum):
+                signed = []
+                for read, template, sign, memo in cofaces:
+                    key = read(vec)
+                    val = memo.get(key)
+                    if val is None:
+                        eps = epsilon(h, act, SimplexDatum(template.vertices, template.faces, key))
+                        val = memo[key] = tuple(sign * c for c in eps.coords)
+                    signed.append(val)
+                if any(sum(col) % d for col, d in zip(zip(*signed), group.invariant_factors)):
+                    datum = cosimplex_datum(h, group, big, twists=dict(zip(pair_keys, vec)), faces=faces)
+                    if check_boundary_zero(h, act, datum):
+                        raise AssertionError(f"boundary sum over {big} disagrees with check_boundary_zero")
                     witness = {
                         "vertices": list(big),
                         "twists": {f"{i},{j}": list(g.coords) for (i, j), g in zip(pair_keys, vec)},
@@ -387,6 +419,3 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
     isomorphic = pocket is not None and iso_check(pocket, group)
     return VerdictReport(stages, group, pocket, isomorphic)
 
-
-def _n_subsets(h, k):
-    return max(1, sum(1 for _ in itertools.combinations(h.vertices, k)))

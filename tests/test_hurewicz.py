@@ -1,16 +1,19 @@
 import copy
 import itertools
+import math
+import random
 
 import pytest
 
 import polyhom.hurewicz
 from polyhom.algebra import FinAbelianGroup, abelian_group, iso_check
-from polyhom.binding import ActionTable, extract
+from polyhom.binding import ActionTable, base_config, extract
 from polyhom.faults import shift_q
 from polyhom.hurewicz import (
     AbstractFace,
     EpsilonError,
     SimplexDatum,
+    _twist_vectors,
     canonical_faces,
     check_boundary_zero,
     co_face,
@@ -283,6 +286,12 @@ class TestVerdict:
         assert not report.stages["boundary-vanishing"]["passed"]
         assert report.stages["boundary-vanishing"]["witness"] is not None
 
+    def test_boundary_witness_rechecked(self, monkeypatch):
+        h = shift_q(standard(Z4, range(4), 2), unions=[(0, 1, 2)])
+        monkeypatch.setattr(polyhom.hurewicz, "check_boundary_zero", lambda h, act, g: True)
+        with pytest.raises(AssertionError, match="disagrees with check_boundary_zero"):
+            verdict(h)
+
     def test_arity3_sampled(self):
         report = verdict(standard(Z2, range(5), 3), samples=500)
         assert report.passed
@@ -316,6 +325,70 @@ class TestVerdict:
         )
         assert (fake(h, act, g1) == fake(h, act, g2)) is witness["equal_defect"]
         assert (natural_iso(group, g1, g2) is not None) is witness["certificate"]
+
+    def test_epsilon_once_per_face_key(self, monkeypatch):
+        # stage 2 is exhaustive here (4096 vectors over one 4-subset), yet
+        # each of its 4 co-faces has only 4^3 twist keys; stage 3 needs 4^3
+        # more calls and stage 4 needs 1 + 4 per 3-subset
+        real = polyhom.hurewicz.epsilon
+        calls = []
+
+        def counting(h, act, g):
+            calls.append(g)
+            return real(h, act, g)
+
+        monkeypatch.setattr(polyhom.hurewicz, "epsilon", counting)
+        report = verdict(standard(Z4, range(4), 2))
+        assert report.passed
+        assert report.stages["boundary-vanishing"]["checked"] == 4**6
+        assert len(calls) <= 4 * 4**3 + 4**3 + 4 * (1 + 4)
+
+    @pytest.mark.parametrize("order, vertices, samples", [(4, 4, 10000), (8, 5, 200)])
+    @pytest.mark.parametrize("planted", ["shift", "raise"])
+    def test_boundary_stage_matches_reference_loop(self, monkeypatch, order, vertices, samples, planted):
+        h = standard(abelian_group(order), range(vertices), 2)
+        group, act = extract(h, base_config(h))
+        pair_keys = list(itertools.combinations(range(4), 2))
+        exhaustive = group.order() <= 4
+        per_subset = max(1, samples // math.comb(vertices, 4))
+
+        def walk():
+            rng = random.Random(0)
+            for big in itertools.combinations(h.vertices, 4):
+                for vec in _twist_vectors(group, 6, exhaustive, per_subset, rng):
+                    yield cosimplex_datum(h, group, big, twists=dict(zip(pair_keys, vec))), vec
+
+        # plant a fault on the face twists of co-face 2 of the last vector;
+        # they first turn up after earlier vectors have filled the memo
+        data = list(walk())
+        target = co_face(data[-1][0], 2).twists
+        real = polyhom.hurewicz.epsilon
+
+        def fake(h, act, g):
+            if g.twists != target:
+                return real(h, act, g)
+            if planted == "raise":
+                raise EpsilonError("planted", {"twists": [list(t.coords) for t in g.twists]})
+            return act.group.add(real(h, act, g), act.group.element((1,)))
+
+        monkeypatch.setattr(polyhom.hurewicz, "epsilon", fake)
+        checked, witness = 0, None
+        for datum, vec in data:
+            checked += 1
+            try:
+                if not check_boundary_zero(h, act, datum):
+                    witness = {
+                        "vertices": list(datum.vertices),
+                        "twists": {f"{i},{j}": list(g.coords) for (i, j), g in zip(pair_keys, vec)},
+                    }
+                    break
+            except EpsilonError as exc:
+                witness = {"reason": exc.reason, "detail": exc.witness}
+                break
+        assert witness is not None and checked > 1
+        stage = verdict(h, samples=samples).stages["boundary-vanishing"]
+        assert stage["exhaustive"] is exhaustive
+        assert (stage["passed"], stage["checked"], stage["witness"]) == (False, checked, witness)
 
     def test_report_json_shape(self):
         report = verdict(standard(Z2, range(3), 2))
