@@ -13,6 +13,7 @@ with integer row-major matrices.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -21,6 +22,9 @@ from .algebra import BoundaryCompositionError, IntMatrix, abelian_group, homolog
 from .binding import ExtractionError, base_config, extract
 from .hurewicz import verdict
 from .polygroupoid import (
+    AxiomCheck,
+    AxiomReport,
+    EmptyFiberError,
     check_all_associativity,
     check_axioms,
     from_json_dict,
@@ -123,7 +127,22 @@ def cmd_check(args):
 
 def cmd_associativity(args):
     h = _load_instance(args)
-    report = check_all_associativity(h).to_json_dict()
+    try:
+        report = check_all_associativity(h).to_json_dict()
+    except EmptyFiberError as exc:
+        # the scan stops at the first (n+2)-subset with an empty cell
+        # fiber, which is the first one containing that fiber's config
+        subset = next(
+            c
+            for c in itertools.combinations(h.vertices, h.arity + 2)
+            if set(exc.config) <= set(c)
+        )
+        check = AxiomCheck(
+            f"associativity@{','.join(map(str, subset))}",
+            False,
+            {"empty_fiber": list(exc.config)},
+        )
+        report = AxiomReport((check,)).to_json_dict()
     _emit(args, {"command": "associativity", **report}, _report_lines(report))
     return 0 if report["passed"] else 1
 

@@ -20,6 +20,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .algebra import FinAbelianGroup, GroupElement
 
@@ -336,29 +337,40 @@ def _row_cells(n, i):
 def check_associativity(h: Polygroupoid, c) -> AxiomReport:
     """Grid associativity over one (n+2)-tuple of vertices.
 
-    Enumerates every assignment of fiber elements to the unordered
-    pairs of c (depth-first, pruning on pairwise compatibility and on
-    completed rows that must satisfy Q), and for each deleted row l
-    requires: Q on the other n+1 rows forces Q on row l.
+    For each deleted row l, in order 0..n+1, enumerates every assignment
+    of fiber elements to the unordered pairs of c and requires: Q on the
+    other n+1 rows forces Q on row l.  The first failing assignment is
+    the witness.  The search is depth-first; cells are placed row by row
+    over the rows other than l (each row's new cells in slot order), and
+    each cell's candidates are tried in fiber order.
+
+    Pruning is exact.  A new cell is checked against every cell placed
+    before it by the pairwise compatibility law of the row they share
+    (row l included), read from a table built once per deleted row.  A
+    cell that completes a row other than l takes its candidates from
+    that row's horn fillers: a value puts the row in Q exactly when it
+    fills the horn, and with the rest of the row fixed the filler list
+    (built from sorted(Q)) runs in element-id order, which is fiber
+    order, so a horn with several fillers yields the same candidates in
+    the same order as a scan of the fiber.  Further rows completed by
+    the same cell are tested against Q.  Since row l is pairwise-checked
+    during the search, is_compatible holds on it at every leaf, so the
+    leaf tests only whether row l is in Q.
     """
     n = h.arity
     c = tuple(sorted(c))
     if len(c) != n + 2 or len(set(c)) != n + 2:
         raise ValueError("need n+2 distinct vertices")
     cells = _grid_cells(n)
-    cell_config = {}
     cell_fiber = {}
     for cell in cells:
         config = tuple(v for idx, v in enumerate(c) if idx not in cell)
-        cell_config[cell] = config
         fib = h.fiber(config)
         if not fib:
             raise EmptyFiberError(config)
         cell_fiber[cell] = fib
     rows = [_row_cells(n, i) for i in range(n + 2)]
-
-    def row_tuple(assign, i):
-        return tuple(assign[cell] for cell in rows[i])
+    pi, q, fillers = h.pi, h.q, h.fillers
 
     def run_for_deleted(ell):
         order = []
@@ -373,53 +385,69 @@ def check_associativity(h: Polygroupoid, c) -> AxiomReport:
         # every cell touches at least one row other than ell
         assert len(order) == len(cells)
         position = {cell: pos for pos, cell in enumerate(order)}
-        completes = {}
+        fibers = [cell_fiber[cell] for cell in order]
+        fiber_sets = [frozenset(fib) for fib in fibers]
+        # pairs[pos]: (earlier position, pi index on the new element, pi
+        # index on the earlier one) for every row the two cells share;
+        # the law pi[ws[b]][a] == pi[ws[a]][b-1] for slots a < b.
+        pairs = [[] for _ in order]
+        for row in rows:
+            for b, cell in enumerate(row):
+                pb = position[cell]
+                for a, other in enumerate(row):
+                    pa = position[other]
+                    if pa < pb:
+                        pairs[pb].append((pa, a, b - 1) if a < b else (pa, a - 1, b))
+        # horn[pos]: (slot of pos, getter of the rest of the row) for the
+        # first row other than ell that pos completes; also_closes[pos]:
+        # getters of any further rows it completes.  Rows have n + 1 >= 3
+        # cells, so every getter returns a tuple.
+        horn = [None] * len(order)
+        also_closes = [[] for _ in order]
         for i in range(n + 2):
             if i == ell:
                 continue
-            completes.setdefault(max(position[x] for x in rows[i]), []).append(i)
-        assign = {}
-
-        def compatible_so_far(cell):
-            for i in range(n + 2):
-                if cell not in rows[i]:
-                    continue
-                row = rows[i]
-                b = row.index(cell)
-                for a in range(len(row)):
-                    if a == b or row[a] not in assign:
-                        continue
-                    ws = [assign.get(x) for x in row]
-                    lo, hi = min(a, b), max(a, b)
-                    if not _pairwise_ok(h, ws, lo, hi):
-                        return False
-            return True
+            positions = [position[x] for x in rows[i]]
+            last = max(positions)
+            if horn[last] is None:
+                slot = positions.index(last)
+                horn[last] = (slot, itemgetter(*positions[:slot], *positions[slot + 1 :]))
+            else:
+                also_closes[last].append(itemgetter(*positions))
+        ell_row = itemgetter(*(position[x] for x in rows[ell]))
+        vals = [None] * len(order)
+        pis = [None] * len(order)
 
         def dfs(pos):
             if pos == len(order):
-                tup = row_tuple(assign, ell)
-                if is_compatible(h, tup) and tup not in h.q:
-                    return {
-                        "deleted_row": ell,
-                        "cells": {f"{a},{b}": assign[(a, b)] for a, b in cells},
-                        "failing_row": list(tup),
-                    }
-                return None
-            cell = order[pos]
-            for w in cell_fiber[cell]:
-                assign[cell] = w
-                if compatible_so_far(cell):
-                    ok = True
-                    for i in completes.get(pos, []):
-                        tup = row_tuple(assign, i)
-                        if tup not in h.q:
-                            ok = False
-                            break
-                    if ok:
+                tup = ell_row(vals)
+                if tup in q:
+                    return None
+                return {
+                    "deleted_row": ell,
+                    "cells": {f"{a},{b}": vals[position[(a, b)]] for a, b in cells},
+                    "failing_row": list(tup),
+                }
+            if horn[pos] is None:
+                cands = fibers[pos]
+            else:
+                slot, rest = horn[pos]
+                fib = fiber_sets[pos]
+                cands = [w for w in fillers.get((slot, rest(vals)), ()) if w in fib]
+            checks = pairs[pos]
+            closes = also_closes[pos]
+            for w in cands:
+                pw = pi[w]
+                for p, i, j in checks:
+                    if pw[i] != pis[p][j]:
+                        break
+                else:
+                    vals[pos] = w
+                    pis[pos] = pw
+                    if all(row(vals) in q for row in closes):
                         witness = dfs(pos + 1)
                         if witness:
                             return witness
-                del assign[cell]
             return None
 
         return dfs(0)
@@ -807,7 +835,7 @@ def check_horn_filling(h: Polygroupoid) -> AxiomReport:
                 ws = list(pick[:gap]) + [None] + list(pick[gap:])
                 if not is_partially_compatible(h, ws):
                     continue
-                count = count_horn_fillers(h, ws)
+                count = len(h.fillers.get((gap, pick), ()))
                 if count != 1:
                     return AxiomReport(
                         (

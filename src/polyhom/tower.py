@@ -20,7 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .algebra import FinAbelianGroup, GroupHom, group_from_addition
+from .algebra import FinAbelianGroup, GroupHom
 from .binding import ActionTable, ExtractionError
 from .polygroupoid import (
     AxiomCheck,

@@ -7,7 +7,7 @@ import pytest
 
 from polyhom.cli import main
 from polyhom.faults import duplicate_horn, shift_q
-from polyhom.polygroupoid import from_json, scramble, standard
+from polyhom.polygroupoid import from_json, polygroupoid, scramble, standard
 from polyhom.algebra import abelian_group
 
 
@@ -108,6 +108,25 @@ class TestAssociativityCommand:
         assert not report["passed"]
         code, _, _ = run(capsys, "check", "--in", str(path))
         assert code == 0  # still a quasigroupoid
+
+
+    def test_empty_fiber_exit_one_with_witness(self, tmp_path, capsys):
+        h = standard(abelian_group(2), range(5), 2)
+        fibers = dict(h.fibers)
+        fibers[(1, 3)] = ()
+        pi = {w: t for w, t in h.pi.items() if h.config_of[w] != (1, 3)}
+        q = [t for t in h.q if all(h.config_of[w] != (1, 3) for w in t)]
+        path = tmp_path / "emptied.json"
+        path.write_text(polygroupoid(2, h.vertices, fibers, pi, q).to_json())
+        code, out, _ = run(capsys, "associativity", "--in", str(path))
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["checks"] == [
+            {"axiom": "associativity@0,1,2,3", "passed": False, "witness": {"empty_fiber": [1, 3]}}
+        ]
+        # the witness fails again: that fiber of the input is empty
+        assert from_json(path.read_text()).fiber((1, 3)) == ()
 
 
 class TestExtractCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -234,6 +235,143 @@ class TestAssociativity:
         crippled = polygroupoid(2, h.vertices, fibers, pi, q)
         with pytest.raises(EmptyFiberError):
             check_associativity(crippled, (0, 1, 2, 3))
+
+
+def reference_check_associativity(h, c):
+    """The plain grid search: every fiber element at every cell, pairwise
+    compatibility rebuilt from row lists, completed rows tested against
+    Q, and a full compatibility check at the leaf.  Same visiting order
+    and witness shape as check_associativity."""
+    n = h.arity
+    c = tuple(sorted(c))
+    cells = list(itertools.combinations(range(n + 2), 2))
+    cell_fiber = {
+        cell: h.fiber(tuple(v for idx, v in enumerate(c) if idx not in cell)) for cell in cells
+    }
+    rows = []
+    for i in range(n + 2):
+        row = []
+        for k in range(n + 1):
+            m = k if k < i else k + 1
+            row.append((min(i, m), max(i, m)))
+        rows.append(row)
+
+    def pairwise_ok(ws, a, b):
+        return h.pi[ws[b]][a] == h.pi[ws[a]][b - 1]
+
+    def run_for_deleted(ell):
+        order = []
+        for i in range(n + 2):
+            if i != ell:
+                order.extend(cell for cell in rows[i] if cell not in order)
+        position = {cell: pos for pos, cell in enumerate(order)}
+        completes = {}
+        for i in range(n + 2):
+            if i != ell:
+                completes.setdefault(max(position[x] for x in rows[i]), []).append(i)
+        assign = {}
+
+        def compatible_so_far(cell):
+            for row in rows:
+                if cell not in row:
+                    continue
+                b = row.index(cell)
+                ws = [assign.get(x) for x in row]
+                for a in range(len(row)):
+                    if a != b and row[a] in assign:
+                        if not pairwise_ok(ws, min(a, b), max(a, b)):
+                            return False
+            return True
+
+        def dfs(pos):
+            if pos == len(order):
+                tup = tuple(assign[cell] for cell in rows[ell])
+                if is_compatible(h, tup) and tup not in h.q:
+                    return {
+                        "deleted_row": ell,
+                        "cells": {f"{a},{b}": assign[(a, b)] for a, b in cells},
+                        "failing_row": list(tup),
+                    }
+                return None
+            cell = order[pos]
+            for w in cell_fiber[cell]:
+                assign[cell] = w
+                if compatible_so_far(cell) and all(
+                    tuple(assign[x] for x in rows[i]) in h.q for i in completes.get(pos, [])
+                ):
+                    witness = dfs(pos + 1)
+                    if witness:
+                        return witness
+                del assign[cell]
+            return None
+
+        return dfs(0)
+
+    for ell in range(n + 2):
+        witness = run_for_deleted(ell)
+        if witness:
+            return {"axiom": f"associativity@{','.join(map(str, c))}", "passed": False, "witness": witness}
+    return {"axiom": f"associativity@{','.join(map(str, c))}", "passed": True, "witness": None}
+
+
+def reference_check_all(h):
+    checks = [
+        reference_check_associativity(h, c)
+        for c in itertools.combinations(h.vertices, h.arity + 2)
+    ]
+    return {"passed": all(ch["passed"] for ch in checks), "checks": checks}
+
+
+def _differential_cases():
+    Z8 = abelian_group(8)
+    cases = [
+        ("standard-n2-Z4", scramble(standard(Z4, range(5), 2), 1)),
+        ("standard-n3-Z2", scramble(standard(Z2, range(5), 3), 2)),
+        ("duplicate_horn", scramble(duplicate_horn(standard(Z4, range(5), 2)), 4)),
+        ("rewire_pi", scramble(rewire_pi(standard(Z4, range(5), 2)), 5)),
+    ]
+    for group in (Z4, Z8):
+        for union, where in [((0, 1, 2), "early"), ((2, 3, 4), "late")]:
+            for seed in (1, 2, 3):
+                shifted = shift_q(standard(group, range(5), 2), unions=[union])
+                cases.append((f"shift_q-{where}-Z{group.order()}-{seed}", scramble(shifted, seed)))
+    # three fillers per horn over {0, 1, 2}: the witness depends on the
+    # order in which a row-completing cell tries them
+    h = standard(Z4, range(5), 2)
+    once = shift_q(h, unions=[(0, 1, 2)])
+    twice = shift_q(once, unions=[(0, 1, 2)])
+    several = polygroupoid(2, h.vertices, h.fibers, h.pi, h.q | once.q | twice.q)
+    cases.append(("several_fillers", scramble(several, 1)))
+    return [pytest.param(name, h, id=name) for name, h in cases]
+
+
+class CountingSet(frozenset):
+    """A frozenset that counts membership tests."""
+
+    def __init__(self, items):
+        self.calls = 0
+
+    def __contains__(self, item):
+        self.calls += 1
+        return frozenset.__contains__(self, item)
+
+
+class TestAssociativitySearch:
+    @pytest.mark.parametrize("name,h", _differential_cases())
+    def test_matches_reference_search(self, name, h):
+        expected = reference_check_all(h)
+        assert check_all_associativity(h).to_json_dict() == expected
+        if name.startswith(("shift_q", "several_fillers")):
+            assert not expected["passed"]
+
+    def test_row_completing_cells_come_from_fillers(self):
+        # Z/4 over four vertices has 4^3 free cell choices per deleted
+        # row, so the leaves alone make 256 membership tests; scanning
+        # the fiber at every row-completing cell makes ten times that.
+        h = scramble(standard(Z4, range(4), 2), 3)
+        counted = dataclasses.replace(h, q=CountingSet(h.q))
+        assert check_associativity(counted, (0, 1, 2, 3)).passed
+        assert counted.q.calls <= 512
 
 
 class TestHornFilling:
