@@ -19,7 +19,7 @@ import sys
 
 from . import selftest as selftest_mod
 from .algebra import BoundaryCompositionError, IntMatrix, abelian_group, homology
-from .binding import ExtractionError, base_config, extract
+from .binding import ExtractionError, base_config, extract, verify_action
 from .hurewicz import verdict
 from .polygroupoid import (
     AxiomCheck,
@@ -159,6 +159,14 @@ def cmd_extract(args):
     except ExtractionError as exc:
         payload = {"command": "extract", "passed": False, "stage": exc.stage, "witness": exc.witness}
         _emit(args, payload, [f"FAIL extraction at {exc.stage}", json.dumps(exc.witness)])
+        return 1
+    # The extracted action is only the binding group's if it obeys the
+    # action law; an input can yield a table that does not.
+    failures = verify_action(h, act).failures()
+    if failures:
+        witness = {"axiom": failures[0].axiom, "witness": failures[0].witness}
+        payload = {"command": "extract", "passed": False, "stage": "action-law", "witness": witness}
+        _emit(args, payload, ["FAIL extraction at action-law", json.dumps(witness)])
         return 1
     payload = {"command": "extract", "passed": True, **act.to_json_dict()}
     _emit(args, payload, [f"binding group: {group}"])

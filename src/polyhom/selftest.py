@@ -139,8 +139,6 @@ def blind_extraction(grid, seeds=100):
 
 def action_law(grid, tamper=None):
     for n, order, size in grid:
-        if order > 4:
-            continue
         group = abelian_group(order)
         h = scramble(standard(group, range(size), n), 0)
         _, act = extract(h, h.top_configs[0])
@@ -149,7 +147,7 @@ def action_law(grid, tamper=None):
         report = verify_action(h, act)
         if not report.passed:
             return False, f"action law fails at n={n} order={order} size={size}"
-    return True, "exhaustive action law on every instance with order <= 4"
+    return True, f"action law on all {len(grid)} instances"
 
 
 def hurewicz_verdicts(grid, samples=10000):

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from polyhom.binding import extract
 from polyhom.cli import main
-from polyhom.faults import duplicate_horn, shift_q
+from polyhom.faults import drop_q_tuple, duplicate_horn, shift_q
 from polyhom.polygroupoid import from_json, polygroupoid, scramble, standard
 from polyhom.algebra import abelian_group
 
@@ -149,6 +150,28 @@ class TestExtractCommand:
         payload = json.loads(out)
         assert payload["passed"] is False
         assert payload["stage"] == "base-fiber"
+
+    def test_action_law_failure_exit_one(self, tmp_path, capsys):
+        # One Q-tuple dropped over {1, 2, 3}: check passes and extraction
+        # finds Z/4, but the action it finds breaks the Q-law.
+        h = scramble(drop_q_tuple(standard(abelian_group(4), range(4), 2), union=(1, 2, 3)), 7)
+        path = tmp_path / "h.json"
+        path.write_text(h.to_json())
+        code, out, _ = run(capsys, "extract", "--in", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["stage"] == "action-law"
+        assert payload["witness"]["axiom"] == "q-action-law"
+        # the witness fails again under the action extraction produces
+        witness = payload["witness"]["witness"]
+        _, act = extract(h, h.top_configs[0])
+        group = act.group
+        gammas = [group.element(g) for g in witness["gammas"]]
+        image = tuple(act.apply(h.config_of[w], g, w) for w, g in zip(witness["tuple"], gammas))
+        assert tuple(witness["tuple"]) in h.q
+        assert (group.alternating_sum(gammas) == group.zero()) is witness["alternating_sum_zero"] is True
+        assert image not in h.q
 
 
 class TestHomologyCommand:
