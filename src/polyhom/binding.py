@@ -433,6 +433,13 @@ def verify_action(h: Polygroupoid, act: ActionTable) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
+def action_law_witness(h: Polygroupoid, act: ActionTable):
+    """The first failed check of `verify_action` as {"axiom", "witness"},
+    or None when the action obeys the law."""
+    failures = verify_action(h, act).failures()
+    return {"axiom": failures[0].axiom, "witness": failures[0].witness} if failures else None
+
+
 def _q_law_from_base_tuples(h: Polygroupoid, act: ActionTable, elements):
     """First q-action-law witness, read from one base tuple per
     (n+1)-subset; valid under the premises in verify_action."""

@@ -19,7 +19,7 @@ import sys
 
 from . import selftest as selftest_mod
 from .algebra import BoundaryCompositionError, IntMatrix, abelian_group, homology
-from .binding import ExtractionError, base_config, extract, verify_action
+from .binding import ExtractionError, action_law_witness, base_config, extract
 from .hurewicz import verdict
 from .polygroupoid import (
     AxiomCheck,
@@ -162,9 +162,8 @@ def cmd_extract(args):
         return 1
     # The extracted action is only the binding group's if it obeys the
     # action law; an input can yield a table that does not.
-    failures = verify_action(h, act).failures()
-    if failures:
-        witness = {"axiom": failures[0].axiom, "witness": failures[0].witness}
+    witness = action_law_witness(h, act)
+    if witness is not None:
         payload = {"command": "extract", "passed": False, "stage": "action-law", "witness": witness}
         _emit(args, payload, ["FAIL extraction at action-law", json.dumps(witness)])
         return 1
@@ -180,7 +179,7 @@ def cmd_verdict(args):
         report = pre.to_json_dict()
         _emit(args, {"command": "verdict", "precondition": report}, _report_lines(report))
         return 1
-    report = verdict(h, seed=args.seed)
+    report = verdict(h)
     payload = report.to_json_dict()
     lines = [
         f"{'ok' if v['passed'] else 'FAIL':4} {k}" for k, v in payload["stages"].items()
@@ -339,7 +338,7 @@ def build_parser():
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("verdict", help="run the five-stage homology comparison")
-    common(p, infile=True, seed=True)
+    common(p, infile=True)
     p.set_defaults(fn=cmd_verdict)
 
     p = sub.add_parser("homology", help="homology of a pair of integer boundary maps")

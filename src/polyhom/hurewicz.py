@@ -15,6 +15,21 @@ signs use the alternating sum over 0-based positions; under that
 convention a twist change of delta on the faces moves eps by
 (-1)^(n+1) * sum_i (-1)^i delta_i.
 
+That rests on the action law, which `verdict` checks (`verify_action`)
+before it relies on it.  Let w0 be a Q-tuple over the datum's vertices
+and write selector_i = b_i.w0_i (regular, transitive action).  By
+additivity e_i = (t_i + b_i).w0_i, and by the law the unique filler of
+the horn is a.w0_n with sum_{i<n} (-1)^i (t_i + b_i) + (-1)^n a = 0.
+Since eps(t) = a - t_n - b_n,
+
+    eps(t) = eps(0) + (-1)^(n+1) alt(t),    alt(t) = sum_i (-1)^i t_i.
+
+So the boundary sum sum_j (-1)^j eps(d_j T) of an (n+2)-vertex datum
+T does not depend on its twists: the pair (a, b), a < b, is read by
+co-face a at position b-1 and by co-face b at position a, and its two
+terms carry the signs (-1)^(a+b-1) and (-1)^(a+b), which cancel.
+Checking T at zero twists on every (n+2)-subset is therefore exhaustive.
+
 A propped-up simplex here keeps exactly what eps consumes: one chosen
 fiber element per abstract face (the selector) plus one group twist per
 face standing for the remaining embedding freedom.  Parallel data over
@@ -26,13 +41,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import operator
-import random
 from dataclasses import dataclass
 
 from .algebra import FinAbelianGroup, GroupElement, group_from_addition, iso_check
-from .binding import ActionTable, ExtractionError, base_config, extract
+from .binding import ActionTable, ExtractionError, action_law_witness, base_config, extract
 from .polygroupoid import Polygroupoid, _config_key
 
 
@@ -243,139 +255,100 @@ class VerdictReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _twist_vectors(group, count, exhaustive, samples, rng):
-    if exhaustive:
-        yield from itertools.product(group.elements(), repeat=count)
-    else:
-        pool = list(group.elements())
-        for _ in range(samples):
-            yield tuple(rng.choice(pool) for _ in range(count))
-
-
-def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
+def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
     """Five-stage executable comparison of the pocket-class group with
-    the extracted binding group.
+    the extracted binding group.  Every stage is exhaustive; `seed` is
+    accepted and ignored.
 
-    (i) extract the group and action; (ii) the defect vanishes on
-    boundaries of (n+2)-vertex data, exhaustively when the twist space
-    is small (arity 2, order <= 4) and sampled otherwise -- the only
-    stage that samples; (iii) equal defect is equivalent to a
+    (i) extract the group and action and check the action law
+    (`verify_action`); (ii) the defect vanishes on boundaries of
+    (n+2)-vertex data; (iii) equal defect is equivalent to a
     natural-isomorphism certificate over fixed faces; (iv) twisting
-    reaches every group element; (v) the group of twist classes under
-    natural isomorphism matches the extracted group.
+    reaches every group element; (v) the group of pocket classes, keyed
+    by their defect, matches the extracted group.
 
-    Stage (ii) evaluates each co-face defect once per twist key: co-face
-    j of an (n+2)-subset reads only the n+1 twists of the pairs holding
-    j, so a memo per subset and co-face maps that twist tuple to the
-    coordinates of eps, and the alternating sum of a vector is taken on
-    those integers modulo the invariant factors.  The vectors, and so
-    the count, the first failure and the witness, are those of calling
-    `check_boundary_zero` on every datum, which re-checks a witness.
+    Stage (ii) checks each (n+2)-subset at zero twists only.  Under the
+    law checked in (i), eps(t) = eps(0) + (-1)^(n+1) alt(t) on every
+    (n+1)-subset (module docstring), so the boundary sum of a datum T
+    moves by (-1)^(n+1) sum_j (-1)^j alt(t restricted to co-face j).  The
+    pair (a, b), a < b, enters that sum twice: through co-face a at
+    position b-1, with sign (-1)^(a+b-1), and through co-face b at
+    position a, with sign (-1)^(a+b).  The terms cancel, so the boundary
+    sum does not depend on the twists, and the zero-twist datum over the
+    witness vertices is a counterexample for every twist.
 
-    Stages (iii) and (v) key each twist vector t by alt(t), its
-    alternating sum, which decides natural isomorphism (see
-    `natural_iso`).  The pairwise law of (iii) then says that the map
-    alt(t) -> eps is well defined and injective; one pass over the
-    |G|^(n+1) vectors in product order checks both, and the first
-    collision in either direction is the witness pair.  In (v) the first
-    vector of each key, in product order, represents its class.
+    Stages (iii) and (v) share one pass over the |G|^(n+1) twist vectors
+    of the base simplex in product order.  (iii) keys each vector t by
+    alt(t), which decides natural isomorphism (see `natural_iso`); the
+    pairwise law then says that the map alt(t) -> eps is well defined
+    and injective, and the first collision in either direction is the
+    witness pair.  (v) keys each vector by eps(t) - eps(0), with the
+    first vector of each key as its class representative, and checks
+    eps(r + s) - eps(0) = (eps(r) - eps(0)) + (eps(s) - eps(0)) on every
+    pair of representatives; a failing pair is the witness.  The pocket
+    group is then the image of eps - eps(0).
     """
     n = h.arity
-    rng = random.Random(seed)
     stages = {}
-    group = None
-    act = None
     pocket = None
 
     try:
         group, act = extract(h, base_config(h))
-        stages["extract"] = {"passed": True, "group": str(group)}
     except ExtractionError as exc:
         stages["extract"] = {"passed": False, "witness": str(exc)}
         return VerdictReport(stages, None, None, False)
+    law = action_law_witness(h, act)
+    if law is not None:
+        stages["extract"] = {"passed": False, "witness": law}
+        return VerdictReport(stages, None, None, False)
+    stages["extract"] = {"passed": True, "group": str(group)}
     canon = canonical_faces(h)
 
-    exhaustive = n == 2 and group.order() <= 4
-    pair_keys = list(itertools.combinations(range(n + 2), 2))
-    per_subset = max(1, samples // max(1, math.comb(len(h.vertices), n + 2)))
     witness = None
     checked = 0
     try:
         for big in itertools.combinations(h.vertices, n + 2):
-            faces = _pair_faces(canon, big)
-            zero = cosimplex_datum(h, group, big, faces=faces)
-            # per co-face j: the twist positions it reads, its vertices and
-            # faces, and a memo from its twist tuple to the coordinates of
-            # (-1)^j eps -- eps is a function of the datum, so this is exact
-            cofaces = [
-                (
-                    operator.itemgetter(*(pair_keys.index(p) for p in _co_face_pairs(n + 2, j))),
-                    co_face(zero, j),
-                    -1 if j % 2 else 1,
-                    {},
-                )
-                for j in range(n + 2)
-            ]
-            for vec in _twist_vectors(group, len(pair_keys), exhaustive, per_subset, rng):
-                checked += 1
-                signed = []
-                for read, template, sign, memo in cofaces:
-                    key = read(vec)
-                    val = memo.get(key)
-                    if val is None:
-                        eps = epsilon(h, act, SimplexDatum(template.vertices, template.faces, key))
-                        val = memo[key] = tuple(sign * c for c in eps.coords)
-                    signed.append(val)
-                if any(sum(col) % d for col, d in zip(zip(*signed), group.invariant_factors)):
-                    datum = cosimplex_datum(h, group, big, twists=dict(zip(pair_keys, vec)), faces=faces)
-                    if check_boundary_zero(h, act, datum):
-                        raise AssertionError(f"boundary sum over {big} disagrees with check_boundary_zero")
-                    witness = {
-                        "vertices": list(big),
-                        "twists": {f"{i},{j}": list(g.coords) for (i, j), g in zip(pair_keys, vec)},
-                    }
-                    raise StopIteration
-    except StopIteration:
-        pass
+            checked += 1
+            if not check_boundary_zero(h, act, cosimplex_datum(h, group, big, faces=_pair_faces(canon, big))):
+                witness = {"vertices": list(big)}
+                break
     except EpsilonError as exc:
         witness = {"reason": exc.reason, "detail": exc.witness}
-    stages["boundary-vanishing"] = {
-        "passed": witness is None,
-        "checked": checked,
-        "exhaustive": exhaustive,
-        "witness": witness,
-    }
+    stages["boundary-vanishing"] = {"passed": witness is None, "checked": checked, "witness": witness}
 
     witness = None
     checked = 0
     base_vertices = min(itertools.combinations(h.vertices, n + 1))
     base_faces = _simplex_faces(canon, base_vertices)
-    vectors = list(itertools.product(group.elements(), repeat=n + 1))
 
     def datum(t):
         return simplex_datum(h, group, base_vertices, twists=t, faces=base_faces)
 
+    def coords(t):
+        return [list(g.coords) for g in t]
+
+    by_eps = {}  # eps -> (alt(t), t) of the first vector with that defect
+    pass_error = None
     try:
         by_key = {}  # alt(t) -> (eps, t) of the first vector with that key
-        by_eps = {}  # eps -> (alt(t), t) of the first vector with that defect
-        for t in vectors:
-            checked += 1
+        for t in itertools.product(group.elements(), repeat=n + 1):
             key = group.alternating_sum(t)
             eps = epsilon(h, act, datum(t))
-            if by_key.setdefault(key, (eps, t))[0] != eps:
-                t1 = by_key[key][1]
-            elif by_eps.setdefault(eps, (key, t))[0] != key:
-                t1 = by_eps[eps][1]
-            else:
-                continue
-            witness = {
-                "twists": [[list(g.coords) for g in t1], [list(g.coords) for g in t]],
-                "equal_defect": epsilon(h, act, datum(t1)) == eps,
-                "certificate": natural_iso(group, datum(t1), datum(t)) is not None,
-            }
-            break
+            eps1, t_key = by_key.setdefault(key, (eps, t))
+            key1, t_eps = by_eps.setdefault(eps, (key, t))
+            if witness is not None:
+                continue  # (v) needs every defect value
+            checked += 1
+            t1 = t_key if eps1 != eps else t_eps if key1 != key else None
+            if t1 is not None:
+                witness = {
+                    "twists": [coords(t1), coords(t)],
+                    "equal_defect": epsilon(h, act, datum(t1)) == eps,
+                    "certificate": natural_iso(group, datum(t1), datum(t)) is not None,
+                }
     except EpsilonError as exc:
-        witness = {"reason": exc.reason, "detail": exc.witness}
+        pass_error = {"reason": exc.reason, "detail": exc.witness}
+        witness = witness or pass_error
     stages["defect-vs-natural-iso"] = {
         "passed": witness is None,
         "checked": checked,
@@ -398,24 +371,30 @@ def verdict(h: Polygroupoid, samples=10000, seed=0) -> VerdictReport:
         witness = {"reason": exc.reason, "detail": exc.witness}
     stages["twist-surjectivity"] = {"passed": witness is None, "witness": witness}
 
-    try:
-        class_of = {}  # alt(t) -> class index
-        reps = []
-        for t in vectors:
-            key = group.alternating_sum(t)
-            if key not in class_of:
-                class_of[key] = len(reps)
-                reps.append(t)
-
-        def add_classes(a, b):
-            s = [group.add(x, y) for x, y in zip(reps[a], reps[b])]
-            return class_of[group.alternating_sum(s)]
-
-        pocket, _, _ = group_from_addition(range(len(reps)), add_classes, class_of[group.zero()])
+    witness = pass_error
+    if witness is None:
+        eps0 = next(iter(by_eps))  # the zero vector comes first
+        keys = [group.sub(eps, eps0) for eps in by_eps]
+        reps = [t for _, t in by_eps.values()]
+        class_of = {k: i for i, k in enumerate(keys)}
+        table = {}
+        for a, b in itertools.product(range(len(reps)), repeat=2):
+            # r_a + r_b was in the pass, so its defect is a key
+            d = group.sub(epsilon(h, act, datum(tuple(map(group.add, reps[a], reps[b])))), eps0)
+            if d != group.add(keys[a], keys[b]):
+                witness = {
+                    "vertices": list(base_vertices),
+                    "twists": [coords(reps[a]), coords(reps[b])],
+                    "reason": "defect not additive",
+                }
+                break
+            table[a, b] = class_of[d]
+    if witness is None:
+        # the keys are closed under addition, so this is a subgroup table
+        pocket, _, _ = group_from_addition(range(len(reps)), lambda a, b: table[a, b], 0)
         stages["pocket-group"] = {"passed": True, "classes": len(reps)}
-    except ValueError as exc:
-        stages["pocket-group"] = {"passed": False, "witness": {"reason": str(exc)}}
+    else:
+        stages["pocket-group"] = {"passed": False, "witness": witness}
 
     isomorphic = pocket is not None and iso_check(pocket, group)
     return VerdictReport(stages, group, pocket, isomorphic)
-

@@ -150,10 +150,10 @@ def action_law(grid, tamper=None):
     return True, f"action law on all {len(grid)} instances"
 
 
-def hurewicz_verdicts(grid, samples=10000):
+def hurewicz_verdicts(grid):
     for n, order, size in grid:
         group = abelian_group(order)
-        report = verdict(standard(group, range(size), n), samples=samples)
+        report = verdict(standard(group, range(size), n))
         if not report.passed:
             failing = [k for k, v in report.stages.items() if not v["passed"]]
             return False, f"verdict fails at n={n} order={order} size={size}: {failing or 'iso'}"
@@ -310,7 +310,7 @@ def run_selftest(quick=False, inject_fault=None, seeds=None):
         (3, "horn-filling", lambda: horn_filling(grid)),
         (4, "blind-extraction", lambda: blind_extraction(grid, seeds=seeds)),
         (5, "action-law", lambda: action_law(grid, **tamper_for(5))),
-        (6, "hurewicz-verdict", lambda: hurewicz_verdicts(grid, samples=500 if quick else 3000)),
+        (6, "hurewicz-verdict", lambda: hurewicz_verdicts(grid)),
         (7, "tower", lambda: tower_pipeline(**tamper_for(7))),
         (8, "fault-sensitivity", fault_sensitivity),
         (9, "homology-kernel", lambda: homology_kernel(100 if quick else 500)),

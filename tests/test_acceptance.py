@@ -65,7 +65,7 @@ def test_criterion_5_action_law():
 
 
 def test_criterion_6_hurewicz_verdict():
-    passed, seconds, detail = timed(lambda: hurewicz_verdicts(FULL_GRID, samples=10000))
+    passed, seconds, detail = timed(lambda: hurewicz_verdicts(FULL_GRID))
     report(6, "hurewicz-verdict", passed, seconds, 180, detail)
 
 

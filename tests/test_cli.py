@@ -71,20 +71,22 @@ class TestCheck:
         assert tuple(fail["witness"]["second"]) in again.q
 
     def test_report_bytes_independent_of_hash_seed(self, tmp_path):
-        h = scramble(duplicate_horn(standard(abelian_group(16), range(5), 2)), 5)
-        path = tmp_path / "dup.json"
-        path.write_text(h.to_json())
-        outs = set()
-        for seed in ("1", "2", "3", "4"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-            proc = subprocess.run(
-                [sys.executable, "-m", "polyhom", "check", "--in", str(path)],
-                capture_output=True, env=env, check=False,
-            )
-            assert proc.returncode == 1, proc.stderr
-            outs.add(proc.stdout)
-        assert len(outs) == 1
+        dup = tmp_path / "dup.json"
+        dup.write_text(scramble(duplicate_horn(standard(abelian_group(16), range(5), 2)), 5).to_json())
+        healthy = tmp_path / "healthy.json"
+        healthy.write_text(scramble(standard(abelian_group(2, 4), range(4), 2), 5).to_json())
+        for command, path, code in [("check", dup, 1), ("verdict", healthy, 0)]:
+            outs = set()
+            for seed in ("1", "2", "3", "4"):
+                env = dict(os.environ, PYTHONHASHSEED=seed,
+                           PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "polyhom", command, "--in", str(path)],
+                    capture_output=True, env=env, check=False,
+                )
+                assert proc.returncode == code, proc.stderr
+                outs.add(proc.stdout)
+            assert len(outs) == 1, command
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
