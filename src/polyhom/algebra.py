@@ -542,40 +542,80 @@ def group_from_addition(elements, add, zero):
     """Recover invariant factors from an explicit abelian addition table.
 
     elements: finite iterable (kept in its given order); add: binary
-    operation; zero: identity element.  Presents the group on one
-    generator per element with the full table as relations, and reads
-    the structure off the cokernel.  Returns (group, to_coords,
+    operation; zero: identity element.  Returns (group, to_coords,
     from_coords) with dictionaries in both directions.
 
-    Raises ValueError if the table is not a group table ordered this way
-    (detected by an order mismatch after presentation).
+    The group is presented on a generating set S, picked greedily in
+    element order: an element is picked when it is not in the span of
+    the earlier picks, the span being {zero} closed under x -> x + s for
+    every pick s.  Each pick at least doubles the span, so
+    |S| <= log2 |G|.  The presentation has one generator e_a per element
+    and the relations e_zero = 0 and e_a + e_s = e_{a+s} for every
+    element a and every s in S, at most |S|.|G| + 1 rows.  Its quotient
+    P is G.  Every b is reached from zero by a walk b = s_1 + ... + s_k
+    through the span, and induction on k gives e_a + e_b = e_{a+b} in P
+    for every pair: at k = 0 it is e_zero = 0, and for b = b' + s,
+    e_a + e_b = e_a + e_b' + e_s = e_{a+b'} + e_s = e_{a+b}.  So P is
+    presented by the full addition table, and a -> e_a is a
+    homomorphism from G onto P.  The map e_a -> a kills every relation,
+    so it induces P -> G, which undoes a -> e_a; the two are inverse
+    isomorphisms.  This uses that G is abelian: the full table presents
+    the abelianization.  The coordinates are read off along the walks:
+    to_coords[zero] = 0, each pick is projected from the quotient, and
+    to_coords[x + s] = to_coords[x] + to_coords[s].
+
+    Raises ValueError if the table is not an abelian group table with
+    this zero: the quotient must have order |G|, to_coords must be a
+    bijection, and every table entry must satisfy
+    to_coords[a] + to_coords[b] = to_coords[add(a, b)].
     """
     elems = list(elements)
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
     if zero not in index:
         raise ValueError("zero is not among the elements")
-    rows = set()
+    table = {}
     for a in elems:
         for b in elems:
-            c = add(a, b)
+            c = table[a, b] = add(a, b)
             if c not in index:
                 raise ValueError("addition leaves the element set")
+    gens = []
+    span = {zero: None}  # element -> (x, s) with x + s = element, in discovery order
+    for e in elems:
+        if e in span:
+            continue
+        gens.append(e)
+        stack = list(span)
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = table[x, s]
+                if y not in span:
+                    span[y] = (x, s)
+                    stack.append(y)
+    rows = {tuple(int(i == index[zero]) for i in range(n))}
+    for a in elems:
+        for s in gens:
             row = [0] * n
             row[index[a]] += 1
-            row[index[b]] += 1
-            row[index[c]] -= 1
+            row[index[s]] += 1
+            row[index[table[a, s]]] -= 1
             rows.add(tuple(row))
     coker = cokernel(IntMatrix.from_rows(sorted(rows), n))
     group = coker.group
     if not group.is_finite() or group.order() != n:
         raise ValueError("addition table is not a finite abelian group table")
-    to_coords = {}
-    for i, e in enumerate(elems):
-        vec = [0] * n
-        vec[i] = 1
-        to_coords[e] = coker.project(vec)
+    to_coords = {zero: group.zero()}
+    for s in gens:
+        to_coords[s] = coker.project(int(i == index[s]) for i in range(n))
+    for y, step in span.items():
+        if y not in to_coords:
+            to_coords[y] = group.add(to_coords[step[0]], to_coords[step[1]])
     from_coords = {g: e for e, g in to_coords.items()}
     if len(from_coords) != n:
         raise ValueError("presentation did not separate the elements")
+    for (a, b), c in table.items():
+        if group.add(to_coords[a], to_coords[b]) != to_coords[c]:
+            raise ValueError("addition table is not a finite abelian group table")
     return group, to_coords, from_coords

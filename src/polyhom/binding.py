@@ -260,6 +260,14 @@ def extract(h: Polygroupoid, z):
     # action from face slot l to face slot l' of the same (n+1)-subset
     # twists gamma by -(-1)^(l - l'); every Q-tuple over the connecting
     # subset must induce the same table or the input is incoherent.
+    # twists[sign] pairs the coordinates of each gamma and of sign.gamma.
+    twists = {
+        sign: [
+            (g.coords, tuple(sign * x % d for x, d in zip(g.coords, group.invariant_factors)))
+            for g in group.elements()
+        ]
+        for sign in (1, -1)
+    }
     pending = [c for c in h.top_configs if c != z]
     reached = {z}
     progress = True
@@ -278,11 +286,11 @@ def extract(h: Polygroupoid, z):
                 new_table = {w: {} for w in h.fiber(face)}
                 sign = -1 if (ell - ell2) % 2 == 0 else 1
                 for tup in h.q_by_union[big]:
-                    x, y = tup[ell], tup[ell2]
-                    for g in group.elements():
-                        twisted = group.scale(sign, g)
-                        x2 = action[src][x][twisted.coords]
-                        flipped = tup[:ell] + (x2,) + tup[ell + 1 :]
+                    orbit = action[src][tup[ell]]
+                    y = tup[ell2]
+                    row = new_table[y]
+                    for g, twisted in twists[sign]:
+                        flipped = tup[:ell] + (orbit[twisted],) + tup[ell + 1 :]
                         rest = flipped[:ell2] + flipped[ell2 + 1 :]
                         fillers = h.fillers.get((ell2, rest), ())
                         if len(fillers) != 1:
@@ -290,18 +298,18 @@ def extract(h: Polygroupoid, z):
                                 "propagation",
                                 {"config": list(face), "horn": list(rest)},
                             )
-                        prev = new_table[y].get(g.coords)
+                        prev = row.get(g)
                         if prev is not None and prev != fillers[0]:
                             raise ExtractionError(
                                 "propagation",
                                 {
                                     "config": list(face),
                                     "element": y,
-                                    "gamma": list(g.coords),
+                                    "gamma": list(g),
                                     "images": [prev, fillers[0]],
                                 },
                             )
-                        new_table[y][g.coords] = fillers[0]
+                        row[g] = fillers[0]
                 for w, tbl in new_table.items():
                     if len(tbl) != group.order():
                         raise ExtractionError(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -293,6 +294,69 @@ class TestGroupHom:
             GroupHom(g, z, ((1,),))
 
 
+def full_table_presentation(elements, add, zero):
+    """Reference: group_from_addition as it was before it presented the
+    group on a generating set, with one generator per element and one
+    relation per pair of elements."""
+    elems = list(elements)
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    if zero not in index:
+        raise ValueError("zero is not among the elements")
+    rows = set()
+    for a in elems:
+        for b in elems:
+            c = add(a, b)
+            if c not in index:
+                raise ValueError("addition leaves the element set")
+            row = [0] * n
+            row[index[a]] += 1
+            row[index[b]] += 1
+            row[index[c]] -= 1
+            rows.add(tuple(row))
+    coker = cokernel(IntMatrix.from_rows(sorted(rows), n))
+    group = coker.group
+    if not group.is_finite() or group.order() != n:
+        raise ValueError("addition table is not a finite abelian group table")
+    to_coords = {e: coker.project([int(i == j) for j in range(n)]) for i, e in enumerate(elems)}
+    from_coords = {g: e for e, g in to_coords.items()}
+    if len(from_coords) != n:
+        raise ValueError("presentation did not separate the elements")
+    return group, to_coords, from_coords
+
+
+def shuffled_table(orders, seed):
+    """Addition table of Z/orders[0] + ... on integer labels drawn in a
+    seeded random order: (sorted labels, add, label of zero)."""
+    points = list(itertools.product(*(range(d) for d in orders)))
+    labels = random.Random(seed).sample(range(len(points)), len(points))
+    label = dict(zip(points, labels))
+    point = dict(zip(labels, points))
+
+    def add(a, b):
+        return label[tuple((x + y) % d for x, y, d in zip(point[a], point[b], orders))]
+
+    return sorted(labels), add, label[points[0]]
+
+
+# S3 as permutations of (0, 1, 2) under composition.
+S3 = (
+    list(itertools.permutations(range(3))),
+    lambda p, q: tuple(p[q[i]] for i in range(3)),
+    (0, 1, 2),
+)
+# A commutative loop of order 6 that is not associative: (2 + 2) + 4 = 3
+# but 2 + (2 + 4) = 2.
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+
+
 class TestGroupFromAddition:
     def test_cyclic(self):
         elems = list(range(6))
@@ -315,3 +379,31 @@ class TestGroupFromAddition:
     def test_non_group_rejected(self):
         with pytest.raises(ValueError):
             group_from_addition([0, 1], lambda a, b: 0, 0)
+
+    @pytest.mark.parametrize("orders", [(12,), (16,), (4, 4), (2, 2, 4), (32,)], ids=str)
+    def test_matches_full_table_presentation(self, orders):
+        elems, add, zero = shuffled_table(orders, seed=sum(orders))
+        group, to_coords, from_coords = group_from_addition(elems, add, zero)
+        ref_group, ref_to_coords, _ = full_table_presentation(elems, add, zero)
+        assert group.invariant_factors == ref_group.invariant_factors == abelian_group(*orders).invariant_factors
+        for g, coords in [(group, to_coords), (ref_group, ref_to_coords)]:
+            assert coords[zero] == g.zero()
+            assert sorted(coords.values(), key=lambda x: x.coords) == list(g.elements())
+            for a, b in itertools.product(elems, repeat=2):
+                assert g.add(coords[a], coords[b]) == coords[add(a, b)]
+        assert {e: from_coords[c] for e, c in to_coords.items()} == {e: e for e in elems}
+
+    @pytest.mark.parametrize(
+        "elems, add, zero, message",
+        [
+            pytest.param(*S3, "not a finite abelian group table", id="S3"),
+            pytest.param(range(6), lambda a, b: LOOP6[a][b], 0, "not a finite abelian group table", id="loop6"),
+            pytest.param(range(4), lambda a, b: (a + b) % 4, 1, "not a finite abelian group table",
+                         id="zero-not-neutral"),
+            pytest.param(range(4), lambda a, b: a + b, 0, "leaves the element set", id="leaves-set"),
+        ],
+    )
+    def test_non_groups_rejected(self, elems, add, zero, message):
+        with pytest.raises(ValueError, match=message):
+            group_from_addition(elems, add, zero)
+

@@ -3,10 +3,12 @@ import itertools
 
 import pytest
 
-from polyhom.algebra import FinAbelianGroup, abelian_group, iso_check
+from polyhom import algebra
+from polyhom.algebra import FinAbelianGroup, abelian_group, group_from_addition, iso_check
 from polyhom.binding import (
     ActionTable,
     ExtractionError,
+    _class_permutations,
     action_table_from_json_dict,
     extract,
     transport_classes,
@@ -127,6 +129,187 @@ class TestExtract:
         with pytest.raises(ExtractionError) as exc:
             extract(h, (0, 1))
         assert exc.value.stage in {"propagation", "regularity", "difference-law"}
+
+
+def reference_extract(h, z):
+    """Reference: extract as it was before its propagation ran on
+    coordinate tuples, with one GroupElement per (Q-tuple, twist)."""
+    n = h.arity
+    z = tuple(z)
+    tc = transport_classes(h, z)
+    perms = _class_permutations(tc)
+    fiber = tc.fiber
+    index_of = {pair: i for i, cls in enumerate(tc.classes) for pair in cls}
+
+    def compose(a, b):
+        x0 = fiber[0]
+        target = index_of[(x0, perms[b][perms[a][x0]])]
+        for x in fiber:
+            if index_of[(x, perms[b][perms[a][x]])] != target:
+                raise ExtractionError(
+                    "difference-law",
+                    {
+                        "first": [x0, perms[a][x0], perms[b][perms[a][x0]]],
+                        "second": [x, perms[a][x], perms[b][perms[a][x]]],
+                    },
+                )
+        return target
+
+    table = {}
+    for a in range(len(tc.classes)):
+        for b in range(len(tc.classes)):
+            table[(a, b)] = compose(a, b)
+            if (b, a) in table and table[(b, a)] != table[(a, b)]:
+                raise ExtractionError("abelian", {"classes": [a, b]})
+    try:
+        group, to_coords, _ = group_from_addition(
+            range(len(tc.classes)), lambda a, b: table[(a, b)], tc.diagonal_index
+        )
+    except ValueError as exc:
+        raise ExtractionError("group-structure", {"reason": str(exc)}) from exc
+
+    action = {z: {x: {to_coords[i].coords: perm[x] for i, perm in enumerate(perms)} for x in fiber}}
+    pending = [c for c in h.top_configs if c != z]
+    reached = {z}
+    progress = True
+    while pending and progress:
+        progress = False
+        for big in sorted(h.q_by_union):
+            faces = [tuple(v for v in big if v != big[j]) for j in range(n + 1)]
+            known = [j for j, f in enumerate(faces) if f in reached]
+            if not known:
+                continue
+            for ell2, face in enumerate(faces):
+                if face in reached:
+                    continue
+                ell = known[0]
+                src = faces[ell]
+                new_table = {w: {} for w in h.fiber(face)}
+                sign = -1 if (ell - ell2) % 2 == 0 else 1
+                for tup in h.q_by_union[big]:
+                    x, y = tup[ell], tup[ell2]
+                    for g in group.elements():
+                        x2 = action[src][x][group.scale(sign, g).coords]
+                        flipped = tup[:ell] + (x2,) + tup[ell + 1 :]
+                        rest = flipped[:ell2] + flipped[ell2 + 1 :]
+                        fillers = h.fillers.get((ell2, rest), ())
+                        if len(fillers) != 1:
+                            raise ExtractionError("propagation", {"config": list(face), "horn": list(rest)})
+                        prev = new_table[y].get(g.coords)
+                        if prev is not None and prev != fillers[0]:
+                            raise ExtractionError(
+                                "propagation",
+                                {
+                                    "config": list(face),
+                                    "element": y,
+                                    "gamma": list(g.coords),
+                                    "images": [prev, fillers[0]],
+                                },
+                            )
+                        new_table[y][g.coords] = fillers[0]
+                for w, tbl in new_table.items():
+                    if len(tbl) != group.order():
+                        raise ExtractionError(
+                            "propagation", {"config": list(face), "element": w, "reason": "incomplete orbit"}
+                        )
+                action[face] = new_table
+                reached.add(face)
+                pending.remove(face)
+                progress = True
+    if pending:
+        raise ExtractionError("propagation", {"unreachable": [list(c) for c in pending]})
+    return group, ActionTable(group, action)
+
+
+def _replace_union(h, coords, union, slot0):
+    """h with Q over the (n=2) union replaced by the tuples whose slot-0
+    coordinate is slot0(slot-1 coordinate, slot-2 coordinate)."""
+    fibers = [h.fiber(union[:i] + union[i + 1 :]) for i in range(3)]
+    by_coord = {coords[w].coords[0]: w for w in fibers[0]}
+    value = {w: coords[w].coords[0] for w in fibers[1] + fibers[2]}
+    tuples = {(by_coord[slot0(value[b], value[c])], b, c) for b in fibers[1] for c in fibers[2]}
+    return polygroupoid(2, h.vertices, h.fibers, h.pi, (h.q - set(h.q_by_union[union])) | tuples)
+
+
+def _extract_cases():
+    cases = [
+        ("z4", scramble(standard(Z4, range(5), 2), 3)),
+        ("z2xz4", scramble(standard(abelian_group(2, 4), range(5), 2), 4)),
+        ("z12", scramble(standard(abelian_group(12), range(4), 2), 5)),
+        ("n3-z3", scramble(standard(Z3, range(5), 3), 6)),
+        ("n3-z2xz2", scramble(standard(KLEIN, range(5), 3), 7)),
+        ("no-filler", scramble(drop_q_tuple(standard(Z4, range(5), 2), union=(0, 1, 2)), 1)),
+        ("duplicate_horn", scramble(duplicate_horn(standard(Z4, range(5), 2)), 2)),
+    ]
+    h, coords = standard_with_coordinates(Z4, range(5), 2)
+    # A Klein-group Latin square over (0, 2, 3): every horn has one
+    # filler, but the Z/4 action does not carry over consistently.
+    cases.append(("inconsistent", scramble(_replace_union(h, coords, (0, 2, 3), lambda b, c: b ^ c), 3)))
+    # Slot 0 is 2 * slot 1: consistent, but odd elements are never hit.
+    cases.append(("incomplete-orbit", scramble(_replace_union(h, coords, (0, 2, 3), lambda b, c: 2 * b % 4), 4)))
+    h4 = standard(Z4, range(4), 2)
+    cut = h4.q - set(h4.q_by_union[(0, 2, 3)]) - set(h4.q_by_union[(1, 2, 3)])
+    cases.append(("unreachable", scramble(polygroupoid(2, h4.vertices, h4.fibers, h4.pi, cut), 5)))
+    return [pytest.param(h, id=name) for name, h in cases]
+
+
+def _outcome(fn, h):
+    try:
+        group, act = fn(h, h.top_configs[0])
+    except ExtractionError as exc:
+        return exc.stage, exc.witness
+    return group, act.to_json()
+
+
+class TestExtractWork:
+    @pytest.mark.parametrize("h", _extract_cases())
+    def test_matches_reference(self, h):
+        assert _outcome(extract, h) == _outcome(reference_extract, h)
+
+    def test_cases_reach_every_propagation_witness(self):
+        outcomes = {p.id: _outcome(extract, *p.values) for p in _extract_cases()}
+        shapes = {
+            "no-filler": {"config", "horn"},
+            "inconsistent": {"config", "element", "gamma", "images"},
+            "incomplete-orbit": {"config", "element", "reason"},
+            "unreachable": {"unreachable"},
+        }
+        for name, keys in shapes.items():
+            stage, witness = outcomes[name]
+            assert stage == "propagation" and witness.keys() == keys
+        assert outcomes["incomplete-orbit"][1]["reason"] == "incomplete orbit"
+
+    def test_relation_rows_on_a_generating_set(self, monkeypatch):
+        # Z/16: |S| <= log2 16 = 4 generators, so at most 4 * 16 + 1
+        # relation rows; one relation per pair of elements gave 121.
+        h = scramble(standard(abelian_group(16), range(5), 2), 1)
+        shapes = []
+        cokernel = algebra.cokernel
+
+        def recording(rel):
+            shapes.append((rel.rows, rel.cols))
+            return cokernel(rel)
+
+        monkeypatch.setattr(algebra, "cokernel", recording)
+        group, _ = extract(h, h.top_configs[0])
+        assert group.invariant_factors == (16,)
+        assert len(shapes) == 1 and shapes[0][1] == 16 and shapes[0][0] <= 4 * 16 + 1
+
+    def test_group_element_calls_bounded(self, monkeypatch):
+        # Propagation made a validated element per (Q-tuple, twist), 36 880
+        # calls in all; on coordinate tuples it makes none, and checking
+        # the addition table makes 16**2.
+        h = scramble(standard(abelian_group(16), range(5), 2), 1)
+        calls = []
+        element = FinAbelianGroup.element
+
+        def counting(self, coords):
+            calls.append(None)
+            return element(self, coords)
+
+        monkeypatch.setattr(FinAbelianGroup, "element", counting)
+        extract(h, h.top_configs[0])
+        assert len(calls) <= 2 * 16**2
 
 
 class TestVerifyAction:
