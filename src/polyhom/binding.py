@@ -2,17 +2,24 @@
 the Q-relation alone, and verify the action laws.
 
 The construction only ever looks at which horns fill to which elements,
-so it works identically on scrambled instances.  On the base fiber,
-ordered pairs (x, x') and (y, y') are identified whenever flipping the
-same auxiliary element u to the same u' inside a filled horn transports
-x to x' and y to y'.  The classes of that closure must compose by the
-difference law [(w,w')] + [(w',w'')] = [(w,w'')]; when they do they form
-an abelian group acting regularly on the fiber.  The action then spreads
-to every other fiber through shared Q-tuples, with the sign
--(-1)^(l - l') attached when moving from face slot l to face slot l',
-which is exactly what keeps the alternating action law coherent across
-slots.  Well-definedness of each step is verified, not assumed: inputs
-that merely parse as quasigroupoids can and do violate it, and the
+so it works identically on scrambled instances.  Flipping one auxiliary
+element u to u' inside the filled horns through u moves the base fiber
+by a permutation; the permutations for every u' in u's fiber are the
+candidate group, composed through their images of one base point.  The
+action then spreads to every other fiber through shared Q-tuples, with
+the sign -(-1)^(l - l') attached when moving from face slot l to face
+slot l', which is exactly what keeps the alternating action law
+coherent across slots.  That proposal reads one horn per entry and is
+returned only when `verify_action` certifies it.
+
+Inputs that break the law take the pair-transport path instead: ordered
+pairs (x, x') and (y, y') of the base fiber are identified whenever
+flipping the same u to the same u' in some filled horn transports x to
+x' and y to y'.  The classes of that closure must compose by the
+difference law [(w,w')] + [(w',w'')] = [(w,w'')]; when they do they
+form an abelian group acting regularly on the fiber, spread as above
+with every shared Q-tuple checked for agreement.  Inputs that merely
+parse as quasigroupoids can and do violate these steps, and the
 violation is reported with the offending pairs rather than crashing.
 """
 
@@ -22,6 +29,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 
 from .algebra import FinAbelianGroup, GroupElement, group_from_addition
 from .polygroupoid import AxiomCheck, AxiomReport, Polygroupoid, _config_key, _parse_config_key
@@ -204,12 +212,51 @@ def base_config(h: Polygroupoid):
 def extract(h: Polygroupoid, z):
     """Binding group and full action table from the Q-relation.
 
-    Raises ExtractionError when the difference law is not well defined
-    or the class action is not regular and transitive, which signals
-    that the input is not a genuine polygroupoid.
+    The certified path reads a proposal in one flip (see
+    `_proposed_action`): |G|^n horn lookups for the base permutations,
+    the addition table from where they take fiber[0], and each new
+    fiber's rows from one Q-tuple per element.  It is returned when
+    `verify_action` passes it.  Otherwise the pair-transport path runs:
+    `transport_classes`, one permutation per class, the full
+    composition table and propagation through every shared Q-tuple.
+
+    Both paths return the same result whenever the certificate passes.
+    Write A for the certified table.  A is regular and additive and
+    obeys the Q-law, and every Q-tuple over U has slot i over U minus
+    its i-th vertex (the proposal is only read when that holds).  Then:
+    - every horn over a subset that holds Q-tuples has exactly one
+      filler: a filler completes a Q-tuple over the same subset, so it
+      is g.x for one g, and the law fixes g.  So `_transport_buckets`
+      never raises;
+    - each bucket (v, u, u2) is the graph of x -> c.x with c = +-d and
+      d the difference of u and u2 under A, over the whole base fiber;
+      that is one of the proposal's permutations.  The proposal's own
+      buckets reach every c != 0 and the diagonal is seeded, so the
+      union-find classes are the graphs of the group elements, ordered
+      by their smallest member (fiber[0], fiber[k]).  Class k is
+      permutation k, so regularity passes;
+    - additivity makes `compose` consistent and abelian, so
+      `group_from_addition` gets the same table with the same zero and
+      returns the same group and coordinates;
+    - the law makes every propagation filler g.y under A, so the full
+      propagation writes A's rows in the same face order, with no
+      conflict and no incomplete orbit.
+    So the pair-transport path would return (group, A).
+
+    Raises ExtractionError when the pair-transport path finds the
+    difference law not well defined or the class action not regular
+    and transitive, which signals that the input is not a genuine
+    polygroupoid.  An input that breaks the action law can still come
+    back with a group from the pair-transport path; callers check the
+    law with `action_law_witness`.
     """
-    n = h.arity
     z = tuple(z)
+    try:
+        proposed = _proposed_action(h, z)
+    except ValueError:  # group_from_addition or the propagation refused it
+        proposed = None
+    if proposed is not None and verify_action(h, proposed[1]).passed:
+        return proposed
     tc = transport_classes(h, z)
     perms = _class_permutations(tc)
     fiber = tc.fiber
@@ -248,18 +295,68 @@ def extract(h: Polygroupoid, z):
         )
     except ValueError as exc:
         raise ExtractionError("group-structure", {"reason": str(exc)}) from exc
+    return _spread(h, z, group, to_coords, perms, every_tuple=True)
 
-    base_action = {}
-    for x in fiber:
-        base_action[x] = {}
-        for i, perm in enumerate(perms):
-            base_action[x][to_coords[i].coords] = perm[x]
 
-    action = {z: base_action}
-    # Spread to the other fibers through shared Q-tuples.  Moving the
-    # action from face slot l to face slot l' of the same (n+1)-subset
-    # twists gamma by -(-1)^(l - l'); every Q-tuple over the connecting
-    # subset must induce the same table or the input is incoherent.
+def _proposed_action(h: Polygroupoid, z):
+    """Group and action read from one flip; None or a ValueError where
+    that reading fails.  Only `verify_action` makes it the binding
+    group's.
+
+    Let v be the first vertex outside z, big = z + v, l the slot of v,
+    j the first other slot and u slot j of the first Q-tuple over big.
+    Each u2 in u's fiber gives a permutation of the base fiber: flip
+    slot j of the Q-tuples through u to u2 and take the filler at slot
+    l.  Permutation k is the one taking fiber[0] to fiber[k], which is
+    the class order of `transport_classes`.
+    """
+    fiber = h.fiber(z)
+    v = next((v for v in h.vertices if v not in z), None)
+    if not fiber or v is None or not _shaped(h):
+        return None
+    big = tuple(sorted(z + (v,)))
+    tuples = h.q_by_union.get(big)
+    if not tuples:
+        return None
+    ell = big.index(v)
+    j = 1 if ell == 0 else 0
+    u = tuples[0][j]
+    through = [t for t in tuples if t[j] == u]
+    perms = []
+    for u2 in h.fiber(h.config_of[u]):
+        perm = {}
+        for t in through:
+            flipped = t[:j] + (u2,) + t[j + 1 :]
+            fillers = h.fillers.get((ell, flipped[:ell] + flipped[ell + 1 :]), ())
+            if len(fillers) != 1 or perm.setdefault(t[ell], fillers[0]) != fillers[0]:
+                return None
+        if tuple(sorted(perm)) != fiber or tuple(sorted(perm.values())) != fiber:
+            return None
+        perms.append(perm)
+    pos = {x: i for i, x in enumerate(fiber)}
+    perms.sort(key=lambda perm: pos[perm[fiber[0]]])
+    if tuple(perm[fiber[0]] for perm in perms) != fiber:
+        return None
+    # perms[a] takes fiber[0] to fiber[a], so a + b is where perms[b]
+    # takes fiber[a].
+    table = [[pos[perm[x]] for perm in perms] for x in fiber]
+    group, to_coords, _ = group_from_addition(range(len(fiber)), lambda a, b: table[a][b], 0)
+    return _spread(h, z, group, to_coords, perms, every_tuple=False)
+
+
+def _spread(h: Polygroupoid, z, group, to_coords, perms, every_tuple):
+    """Action on the fiber over z, g = to_coords[i] acting as perms[i],
+    spread to every other top fiber through shared Q-tuples.
+
+    Each new fiber's rows are read from every Q-tuple over the
+    connecting subset, which must agree, or with every_tuple false from
+    the first Q-tuple through each element, for a table that is
+    certified afterwards.
+    """
+    n = h.arity
+    action = {z: {x: {to_coords[i].coords: perm[x] for i, perm in enumerate(perms)} for x in h.fiber(z)}}
+    # Moving the action from face slot l to face slot l' of the same
+    # (n+1)-subset twists gamma by -(-1)^(l - l').
     # twists[sign] pairs the coordinates of each gamma and of sign.gamma.
     twists = {
         sign: [
@@ -285,7 +382,10 @@ def extract(h: Polygroupoid, z):
                 src = faces[ell]
                 new_table = {w: {} for w in h.fiber(face)}
                 sign = -1 if (ell - ell2) % 2 == 0 else 1
-                for tup in h.q_by_union[big]:
+                tuples = h.q_by_union[big]
+                if not every_tuple:
+                    tuples = {tup[ell2]: tup for tup in reversed(tuples)}.values()
+                for tup in tuples:
                     orbit = action[src][tup[ell]]
                     y = tup[ell2]
                     row = new_table[y]
@@ -367,7 +467,6 @@ def verify_action(h: Polygroupoid, act: ActionTable) -> AxiomReport:
     checked by the exhaustive scan over every Q-tuple and every twist.
     """
     group = act.group
-    n = h.arity
     zero = group.zero().coords
     elements = [g.coords for g in group.elements()]
     checks = []
@@ -426,19 +525,27 @@ def verify_action(h: Polygroupoid, act: ActionTable) -> AxiomReport:
             break
     checks.append(AxiomCheck("regular-transitive", witness is None, witness))
 
-    shaped = all(
-        len(union) == n + 1
-        and all(h.config_of[w] == union[:i] + union[i + 1 :] for i, w in enumerate(tup))
-        for union, tuples in h.q_by_union.items()
-        for tup in tuples
-    )
-    if checks[0].passed and checks[1].passed and shaped:
+    if checks[0].passed and checks[1].passed and _shaped(h):
         witness = _q_law_from_base_tuples(h, act, elements)
     else:
         witness = _q_law_exhaustive(h, act)
     checks.append(AxiomCheck("q-action-law", witness is None, witness))
 
     return AxiomReport(tuple(checks))
+
+
+def _shaped(h: Polygroupoid):
+    """Whether every Q-tuple sits over n + 1 vertices U with slot i in
+    the fiber over U minus its i-th vertex."""
+    config_of = h.config_of.__getitem__
+    return all(
+        len(union) == h.arity + 1
+        and all(
+            set(map(config_of, column)) == {union[:i] + union[i + 1 :]}
+            for i, column in enumerate(zip(*tuples))
+        )
+        for union, tuples in h.q_by_union.items()
+    )
 
 
 def action_law_witness(h: Polygroupoid, act: ActionTable):
@@ -457,19 +564,21 @@ def _q_law_from_base_tuples(h: Polygroupoid, act: ActionTable, elements):
     sign = 1 if n % 2 else -1
     factors = group.invariant_factors
     size = group.order() ** n
+    zero_sum = []
+    for head in itertools.product(elements, repeat=n):
+        last = tuple(
+            sign * sum(g[k] if i % 2 == 0 else -g[k] for i, g in enumerate(head)) % d
+            for k, d in enumerate(factors)
+        )
+        zero_sum.append(head + (last,))
     for union in itertools.combinations(h.vertices, n + 1):
         tuples = h.q_by_union.get(union)
         if not tuples:
             return {"union": list(union), "reason": "no Q-tuple"}
         w0 = tuples[0]
         tables = [act.action[h.config_of[w]][w] for w in w0]
-        for head in itertools.product(elements, repeat=n):
-            last = tuple(
-                sign * sum(g[k] if i % 2 == 0 else -g[k] for i, g in enumerate(head)) % d
-                for k, d in enumerate(factors)
-            )
-            gammas = head + (last,)
-            if tuple(t[g] for t, g in zip(tables, gammas)) not in h.q:
+        for gammas in zero_sum:
+            if tuple(map(getitem, tables, gammas)) not in h.q:
                 return {
                     "tuple": list(w0),
                     "gammas": [list(g) for g in gammas],

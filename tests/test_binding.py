@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyhom import algebra
+from polyhom import algebra, binding
 from polyhom.algebra import FinAbelianGroup, abelian_group, group_from_addition, iso_check
 from polyhom.binding import (
     ActionTable,
@@ -250,6 +252,15 @@ def _extract_cases():
     h4 = standard(Z4, range(4), 2)
     cut = h4.q - set(h4.q_by_union[(0, 2, 3)]) - set(h4.q_by_union[(1, 2, 3)])
     cases.append(("unreachable", scramble(polygroupoid(2, h4.vertices, h4.fibers, h4.pi, cut), 5)))
+    cases += [
+        # Breaks the action law and still extracts Z/4 by pair transport.
+        ("F1", scramble(drop_q_tuple(h4, union=(1, 2, 3)), 7)),
+        ("shift_q-late", scramble(shift_q(standard(Z4, range(5), 2), unions=[(2, 3, 4)]), 8)),
+        ("drop_q_tuple-z8", scramble(drop_q_tuple(standard(Z8, range(5), 2), union=(1, 2, 3)), 9)),
+        ("z32-v4", scramble(standard(abelian_group(32), range(4), 2), 10)),
+        ("n3-z4-v6", scramble(standard(Z4, range(6), 3), 11)),
+        ("n4-z2-v6", scramble(standard(Z2, range(6), 4), 12)),
+    ]
     return [pytest.param(h, id=name) for name, h in cases]
 
 
@@ -278,6 +289,42 @@ class TestExtractWork:
             stage, witness = outcomes[name]
             assert stage == "propagation" and witness.keys() == keys
         assert outcomes["incomplete-orbit"][1]["reason"] == "incomplete orbit"
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from([(Z2, 2), (Z3, 2), (Z4, 2), (KLEIN, 2), (abelian_group(6), 2), (Z2, 3), (Z3, 3)]),
+        extra=st.integers(1, 2),
+        seed=st.integers(0, 10**6),
+        fault=st.sampled_from([None, drop_q_tuple, shift_q]),
+        data=st.data(),
+    )
+    def test_matches_reference_on_random_instances(self, shape, extra, seed, fault, data):
+        group, n = shape
+        h = standard(group, range(n + extra), n)
+        if fault is not None:
+            union = data.draw(st.sampled_from(sorted(h.q_by_union)))
+            h = drop_q_tuple(h, union=union) if fault is drop_q_tuple else shift_q(h, unions=[union])
+        h = scramble(h, seed)
+        assert _outcome(extract, h) == _outcome(reference_extract, h)
+
+    def test_certified_path_skips_pair_transport(self, monkeypatch):
+        class PairTransport(Exception):
+            pass
+
+        def refuse(h, z):
+            raise PairTransport
+
+        monkeypatch.setattr(binding, "transport_classes", refuse)
+        for group, size, arity in [
+            (abelian_group(16), 5, 2), (abelian_group(4, 4), 5, 2), (abelian_group(12), 5, 2), (Z3, 5, 3)
+        ]:
+            h = scramble(standard(group, range(size), arity), 2)
+            found, act = extract(h, h.top_configs[0])
+            assert found == group and verify_action(h, act).passed
+        cases = {p.id: p.values[0] for p in _extract_cases()}
+        for name in ("F1", "inconsistent"):
+            with pytest.raises(PairTransport):
+                extract(cases[name], cases[name].top_configs[0])
 
     def test_relation_rows_on_a_generating_set(self, monkeypatch):
         # Z/16: |S| <= log2 16 = 4 generators, so at most 4 * 16 + 1
