@@ -74,13 +74,6 @@ class IntMatrix:
     def row_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented

@@ -32,7 +32,7 @@ from functools import cached_property
 from operator import getitem
 
 from .algebra import FinAbelianGroup, GroupElement, group_from_addition
-from .polygroupoid import AxiomCheck, AxiomReport, Polygroupoid, _config_key, _parse_config_key
+from .polygroupoid import AxiomReport, Polygroupoid, _config_key, _parse_config_key, first_failure
 from .unionfind import UnionFind
 
 
@@ -469,69 +469,53 @@ def verify_action(h: Polygroupoid, act: ActionTable) -> AxiomReport:
     group = act.group
     zero = group.zero().coords
     elements = [g.coords for g in group.elements()]
-    checks = []
-
-    witness = None
     units = [tuple(int(i == k) for i in range(group.ngens)) for k in range(group.ngens)]
     plus = {s: {g: group.add(GroupElement(g), GroupElement(s)).coords for g in elements} for s in units}
-    for config in sorted(set(act.action) | set(h.top_configs)):
-        ws = act.action.get(config, {})
-        fiber = h.fiber(config)
-        if sorted(ws) != list(fiber):
-            witness = {"config": list(config), "reason": "fiber mismatch"}
-            break
-        for w, table in sorted(ws.items()):
-            if table.get(zero) != w:
-                witness = {"config": list(config), "element": w, "reason": "zero moves it"}
-                break
-        if witness:
-            break
-        for g in elements:
-            if {table.get(g) for table in ws.values()} != ws.keys():
-                witness = {"config": list(config), "gamma": list(g), "reason": "not a bijection"}
-                break
-        if witness:
-            break
-        for s, g in itertools.product(units, elements):
-            gs = plus[s][g]
-            w = next((w for w in fiber if ws[ws[w][s]][g] != ws[w][gs]), None)
-            if w is not None:
-                witness = {
-                    "config": list(config),
-                    "element": w,
-                    "gammas": [list(g), list(s)],
-                    "reason": "not additive",
-                }
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("action-validity", witness is None, witness))
 
-    witness = None
-    for config, ws in sorted(act.action.items()):
-        for w in sorted(ws):
-            hits = {}
+    def invalid():
+        for config in sorted(set(act.action) | set(h.top_configs)):
+            ws = act.action.get(config, {})
+            fiber = h.fiber(config)
+            if sorted(ws) != list(fiber):
+                yield {"config": list(config), "reason": "fiber mismatch"}
+            for w, table in sorted(ws.items()):
+                if table.get(zero) != w:
+                    yield {"config": list(config), "element": w, "reason": "zero moves it"}
             for g in elements:
-                hits.setdefault(ws[w].get(g), []).append(g)
-            w2 = next((w2 for w2 in sorted(ws) if len(hits.get(w2, ())) != 1), None)
-            if w2 is not None:
-                witness = {
-                    "config": list(config),
-                    "pair": [w, w2],
-                    "gammas": [list(g) for g in hits.get(w2, ())],
-                }
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("regular-transitive", witness is None, witness))
+                if {table.get(g) for table in ws.values()} != ws.keys():
+                    yield {"config": list(config), "gamma": list(g), "reason": "not a bijection"}
+            for s, g in itertools.product(units, elements):
+                gs = plus[s][g]
+                for w in fiber:
+                    if ws[ws[w][s]][g] != ws[w][gs]:
+                        yield {
+                            "config": list(config),
+                            "element": w,
+                            "gammas": [list(g), list(s)],
+                            "reason": "not additive",
+                        }
 
-    if checks[0].passed and checks[1].passed and _shaped(h):
-        witness = _q_law_from_base_tuples(h, act, elements)
+    def irregular():
+        for config, ws in sorted(act.action.items()):
+            for w in sorted(ws):
+                hits = {}
+                for g in elements:
+                    hits.setdefault(ws[w].get(g), []).append(g)
+                for w2 in sorted(ws):
+                    if len(hits.get(w2, ())) != 1:
+                        yield {
+                            "config": list(config),
+                            "pair": [w, w2],
+                            "gammas": [list(g) for g in hits.get(w2, ())],
+                        }
+
+    validity = first_failure("action-validity", invalid())
+    regularity = first_failure("regular-transitive", irregular())
+    if validity.passed and regularity.passed and _shaped(h):
+        law = _q_law_from_base_tuples(h, act, elements)
     else:
-        witness = _q_law_exhaustive(h, act)
-    checks.append(AxiomCheck("q-action-law", witness is None, witness))
-
-    return AxiomReport(tuple(checks))
+        law = _q_law_exhaustive(h, act)
+    return AxiomReport((validity, regularity, first_failure("q-action-law", law)))
 
 
 def _shaped(h: Polygroupoid):
@@ -556,7 +540,7 @@ def action_law_witness(h: Polygroupoid, act: ActionTable):
 
 
 def _q_law_from_base_tuples(h: Polygroupoid, act: ActionTable, elements):
-    """First q-action-law witness, read from one base tuple per
+    """The q-action-law witnesses, read from one base tuple per
     (n+1)-subset; valid under the premises in verify_action."""
     group = act.group
     n = h.arity
@@ -574,12 +558,13 @@ def _q_law_from_base_tuples(h: Polygroupoid, act: ActionTable, elements):
     for union in itertools.combinations(h.vertices, n + 1):
         tuples = h.q_by_union.get(union)
         if not tuples:
-            return {"union": list(union), "reason": "no Q-tuple"}
+            yield {"union": list(union), "reason": "no Q-tuple"}
+            continue
         w0 = tuples[0]
         tables = [act.action[h.config_of[w]][w] for w in w0]
         for gammas in zero_sum:
             if tuple(map(getitem, tables, gammas)) not in h.q:
-                return {
+                yield {
                     "tuple": list(w0),
                     "gammas": [list(g) for g in gammas],
                     "alternating_sum_zero": True,
@@ -589,17 +574,16 @@ def _q_law_from_base_tuples(h: Polygroupoid, act: ActionTable, elements):
             for t in tuples:
                 diffs = [act.difference(h.config_of[w], w, x) for w, x in zip(w0, t)]
                 if group.alternating_sum(diffs) != group.zero():
-                    return {
+                    yield {
                         "tuple": list(w0),
                         "gammas": [list(g.coords) for g in diffs],
                         "alternating_sum_zero": False,
                         "image_in_q": True,
                     }
-    return None
 
 
 def _q_law_exhaustive(h: Polygroupoid, act: ActionTable):
-    """First q-action-law witness over every Q-tuple and every twist;
+    """The q-action-law witnesses over every Q-tuple and every twist;
     a table the action does not define counts as an image outside Q."""
     group = act.group
     zero = group.zero()
@@ -610,10 +594,9 @@ def _q_law_exhaustive(h: Polygroupoid, act: ActionTable):
         for gt, is_zero in zip(gamma_tuples, zero_sum):
             image = tuple(tables[i].get(gt[i].coords) for i in range(len(tup)))
             if (image in h.q) != is_zero:
-                return {
+                yield {
                     "tuple": list(tup),
                     "gammas": [list(g.coords) for g in gt],
                     "alternating_sum_zero": is_zero,
                     "image_in_q": image in h.q,
                 }
-    return None

@@ -54,6 +54,9 @@ class EpsilonError(ValueError):
         self.witness = witness
         super().__init__(f"{reason}: {witness}")
 
+    def to_json_dict(self):
+        return {"reason": self.reason, "detail": self.witness}
+
 
 @dataclass(frozen=True)
 class AbstractFace:
@@ -303,20 +306,21 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
         return VerdictReport(stages, None, None, False)
     stages["extract"] = {"passed": True, "group": str(group)}
     canon = canonical_faces(h)
+    checked = 0  # subsets, then twist vectors, read by the running stage
 
-    witness = None
-    checked = 0
-    try:
+    def boundary_failures():
+        nonlocal checked
         for big in itertools.combinations(h.vertices, n + 2):
             checked += 1
             if not check_boundary_zero(h, act, cosimplex_datum(h, group, big, faces=_pair_faces(canon, big))):
-                witness = {"vertices": list(big)}
-                break
+                yield {"vertices": list(big)}
+
+    try:
+        witness = next(boundary_failures(), None)
     except EpsilonError as exc:
-        witness = {"reason": exc.reason, "detail": exc.witness}
+        witness = exc.to_json_dict()
     stages["boundary-vanishing"] = {"passed": witness is None, "checked": checked, "witness": witness}
 
-    witness = None
     checked = 0
     base_vertices = min(itertools.combinations(h.vertices, n + 1))
     base_faces = _simplex_faces(canon, base_vertices)
@@ -328,35 +332,42 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
         return [list(g.coords) for g in t]
 
     by_eps = {}  # eps -> (alt(t), t) of the first vector with that defect
-    pass_error = None
-    try:
+
+    def collisions():
+        """The pass over every twist vector t in product order: yields
+        a witness wherever alt(t) or eps(t) was first seen with another
+        defect or key.  (v) needs every defect value, so the pass is
+        drained after its first witness."""
+        nonlocal checked
         by_key = {}  # alt(t) -> (eps, t) of the first vector with that key
         for t in itertools.product(group.elements(), repeat=n + 1):
             key = group.alternating_sum(t)
             eps = epsilon(h, act, datum(t))
             eps1, t_key = by_key.setdefault(key, (eps, t))
             key1, t_eps = by_eps.setdefault(eps, (key, t))
-            if witness is not None:
-                continue  # (v) needs every defect value
             checked += 1
             t1 = t_key if eps1 != eps else t_eps if key1 != key else None
             if t1 is not None:
-                witness = {
+                yield {
                     "twists": [coords(t1), coords(t)],
                     "equal_defect": epsilon(h, act, datum(t1)) == eps,
                     "certificate": natural_iso(group, datum(t1), datum(t)) is not None,
                 }
-    except EpsilonError as exc:
-        pass_error = {"reason": exc.reason, "detail": exc.witness}
-        witness = witness or pass_error
-    stages["defect-vs-natural-iso"] = {
-        "passed": witness is None,
-        "checked": checked,
-        "witness": witness,
-    }
 
-    witness = None
+    pass_error = None
+    witnesses = collisions()
     try:
+        witness = next(witnesses, None)
+    except EpsilonError as exc:
+        witness = pass_error = exc.to_json_dict()
+    stages["defect-vs-natural-iso"] = {"passed": witness is None, "checked": checked, "witness": witness}
+    try:
+        for _ in witnesses:  # the rest of the pass, for (v)
+            pass
+    except EpsilonError as exc:
+        pass_error = exc.to_json_dict()
+
+    def unreached():
         for big in itertools.combinations(h.vertices, n + 1):
             g0 = simplex_datum(h, group, big, faces=_simplex_faces(canon, big))
             base = epsilon(h, act, g0)
@@ -365,10 +376,12 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
                 shifted = epsilon(h, act, twist_by(group, g0, gamma))
                 reached.add(group.sub(shifted, base))
             if reached != set(group.elements()):
-                witness = {"vertices": list(big), "reached": sorted(str(list(g.coords)) for g in reached)}
-                break
+                yield {"vertices": list(big), "reached": sorted(str(list(g.coords)) for g in reached)}
+
+    try:
+        witness = next(unreached(), None)
     except EpsilonError as exc:
-        witness = {"reason": exc.reason, "detail": exc.witness}
+        witness = exc.to_json_dict()
     stages["twist-surjectivity"] = {"passed": witness is None, "witness": witness}
 
     witness = pass_error

@@ -41,6 +41,15 @@ class AxiomCheck:
         return {"axiom": self.axiom, "passed": self.passed, "witness": self.witness}
 
 
+def first_failure(axiom, witnesses) -> AxiomCheck:
+    """The check of `axiom`: failed with the first of `witnesses`, or
+    passed when there is none.  Checks write their scans as generators
+    that yield a witness where a loop would break: a scan is not resumed
+    after its first witness, so the code after a yield never runs."""
+    witness = next(iter(witnesses), None)
+    return AxiomCheck(axiom, witness is None, witness)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     checks: tuple[AxiomCheck, ...]
@@ -51,9 +60,6 @@ class AxiomReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
-
-    def merged_with(self, other):
-        return AxiomReport(self.checks + other.checks)
 
     def to_json_dict(self):
         return {"passed": self.passed, "checks": [c.to_json_dict() for c in self.checks]}
@@ -100,9 +106,6 @@ class Polygroupoid:
         if isinstance(x, int):
             return 1
         return len(self.config_of[x])
-
-    def pi_of(self, w):
-        return self.pi[w]
 
     @cached_property
     def q_by_union(self):
@@ -218,49 +221,36 @@ def from_json(text) -> Polygroupoid:
 
 def _pairwise_ok(h, ws, a, b):
     """Compatibility identity between 0-based slots a < b of a tuple of
-    sort-k elements; for k = 1 it degenerates to distinctness."""
+    sort-k elements; for k = 1 it degenerates to distinctness.  A pair
+    through a deleted slot (None) imposes nothing."""
     wa, wb = ws[a], ws[b]
+    if wa is None or wb is None:
+        return True
     if isinstance(wa, int) or isinstance(wb, int):
         return wa != wb
     return h.pi[wb][a] == h.pi[wa][b - 1]
 
 
 def is_compatible(h: Polygroupoid, ws) -> bool:
-    """Full compatibility of a (k+1)-tuple of sort-k elements."""
+    """Compatibility of a (k+1)-tuple of sort-k elements.  A slot marked
+    None is deleted and the pairs through it are skipped; that is how
+    is_partially_compatible reads a horn."""
     ws = tuple(ws)
-    sorts = {h.sort_of(w) for w in ws}
+    sorts = {h.sort_of(w) for w in ws if w is not None}
     if len(sorts) != 1:
         raise ValueError("mixed sorts in compatibility check")
     k = sorts.pop()
     if len(ws) != k + 1:
         raise ValueError(f"expected a {k + 1}-tuple of sort-{k} elements")
-    if k == 1:
-        return len(set(ws)) == len(ws)
-    return all(_pairwise_ok(h, ws, a, b) for a in range(k) for b in range(a + 1, k + 1))
+    return all(_pairwise_ok(h, ws, a, b) for a, b in itertools.combinations(range(k + 1), 2))
 
 
 def is_partially_compatible(h: Polygroupoid, ws) -> bool:
     """Compatibility with one deleted slot, marked None in the tuple."""
     ws = tuple(ws)
-    gaps = [i for i, w in enumerate(ws) if w is None]
-    if len(gaps) != 1:
+    if ws.count(None) != 1:
         raise ValueError("exactly one slot must be None")
-    gap = gaps[0]
-    present = [w for w in ws if w is not None]
-    sorts = {h.sort_of(w) for w in present}
-    if len(sorts) != 1:
-        raise ValueError("mixed sorts in compatibility check")
-    k = sorts.pop()
-    if len(ws) != k + 1:
-        raise ValueError(f"expected a {k + 1}-tuple of sort-{k} elements")
-    if k == 1:
-        return len(set(present)) == len(present)
-    return all(
-        _pairwise_ok(h, ws, a, b)
-        for a in range(k)
-        for b in range(a + 1, k + 1)
-        if a != gap and b != gap
-    )
+    return is_compatible(h, ws)
 
 
 def _expected_face_config(config, j):
@@ -270,54 +260,47 @@ def _expected_face_config(config, j):
 def check_axioms(h: Polygroupoid) -> AxiomReport:
     """Exhaustive verification of coherence, Q-compatibility, horn
     uniqueness and local finiteness.  Failures carry a witness."""
-    checks = []
 
-    coherence_witness = None
-    for w in sorted(h.config_of):
-        config = h.config_of[w]
-        k = len(config)
-        tup = h.pi[w]
-        for j in range(k):
-            expected = _expected_face_config(config, j)
-            x = tup[j]
-            actual = (x,) if isinstance(x, int) else h.config_of[x]
-            if actual != expected:
-                coherence_witness = {
-                    "element": w,
-                    "slot": j + 1,
-                    "expected_config": list(expected),
-                    "actual_config": list(actual),
-                }
-                break
-        if coherence_witness:
-            break
-        if not is_compatible(h, tup):
-            coherence_witness = {"element": w, "pi": list(tup), "reason": "pi tuple incompatible"}
-            break
-    checks.append(AxiomCheck("coherence", coherence_witness is None, coherence_witness))
+    def coherence():
+        for w in sorted(h.config_of):
+            config = h.config_of[w]
+            k = len(config)
+            tup = h.pi[w]
+            for j in range(k):
+                expected = _expected_face_config(config, j)
+                x = tup[j]
+                actual = (x,) if isinstance(x, int) else h.config_of[x]
+                if actual != expected:
+                    yield {
+                        "element": w,
+                        "slot": j + 1,
+                        "expected_config": list(expected),
+                        "actual_config": list(actual),
+                    }
+            if not is_compatible(h, tup):
+                yield {"element": w, "pi": list(tup), "reason": "pi tuple incompatible"}
 
-    q_witness = None
-    for tup in sorted(h.q):
-        if not is_compatible(h, tup):
-            q_witness = {"tuple": list(tup)}
-            break
-    checks.append(AxiomCheck("q-compatibility", q_witness is None, q_witness))
-
-    horn_witness = None
-    for (slot, rest), found in sorted(h.fillers.items()):
-        if len(found) > 1:
-            first = rest[:slot] + (found[0],) + rest[slot:]
-            second = rest[:slot] + (found[1],) + rest[slot:]
-            horn_witness = {"first": list(first), "second": list(second), "slot": slot + 1}
-            break
-    checks.append(AxiomCheck("horn-uniqueness", horn_witness is None, horn_witness))
+    def horn_uniqueness():
+        for (slot, rest), found in sorted(h.fillers.items()):
+            if len(found) > 1:
+                first = rest[:slot] + (found[0],) + rest[slot:]
+                second = rest[:slot] + (found[1],) + rest[slot:]
+                yield {"first": list(first), "second": list(second), "slot": slot + 1}
 
     # fibers are stored extensionally, so finiteness cannot fail; the
     # check records the fiber census for the report.
     census = {_config_key(c): len(ws) for c, ws in sorted(h.fibers.items())}
-    checks.append(AxiomCheck("local-finiteness", True, {"fiber_sizes": census}))
-
-    return AxiomReport(tuple(checks))
+    return AxiomReport(
+        (
+            first_failure("coherence", coherence()),
+            first_failure(
+                "q-compatibility",
+                ({"tuple": list(tup)} for tup in sorted(h.q) if not is_compatible(h, tup)),
+            ),
+            first_failure("horn-uniqueness", horn_uniqueness()),
+            AxiomCheck("local-finiteness", True, {"fiber_sizes": census}),
+        )
+    )
 
 
 def _grid_cells(n):
@@ -452,13 +435,8 @@ def check_associativity(h: Polygroupoid, c) -> AxiomReport:
 
         return dfs(0)
 
-    for ell in range(n + 2):
-        witness = run_for_deleted(ell)
-        if witness:
-            return AxiomReport(
-                (AxiomCheck(f"associativity@{_config_key(c)}", False, witness),)
-            )
-    return AxiomReport((AxiomCheck(f"associativity@{_config_key(c)}", True, None),))
+    failures = filter(None, map(run_for_deleted, range(n + 2)))
+    return AxiomReport((first_failure(f"associativity@{_config_key(c)}", failures),))
 
 
 def check_all_associativity(h: Polygroupoid) -> AxiomReport:
@@ -822,28 +800,22 @@ def count_horn_fillers(h: Polygroupoid, ws):
 
 def check_horn_filling(h: Polygroupoid) -> AxiomReport:
     """Every partially compatible horn over an (n+1)-subset must have
-    exactly one Q-filler.  Exhaustive."""
+    exactly one Q-filler.  Exhaustive; a horn whose gap sits over an
+    empty fiber has no filler, so it fails."""
     n = h.arity
-    for big in itertools.combinations(h.vertices, n + 1):
-        faces = [tuple(v for v in big if v != big[j]) for j in range(n + 1)]
-        fibs = [h.fiber(f) for f in faces]
-        if any(not f for f in fibs):
-            continue
-        for gap in range(n + 1):
-            pools = [fibs[j] for j in range(n + 1) if j != gap]
-            for pick in itertools.product(*pools):
-                ws = list(pick[:gap]) + [None] + list(pick[gap:])
-                if not is_partially_compatible(h, ws):
-                    continue
-                count = len(h.fillers.get((gap, pick), ()))
-                if count != 1:
-                    return AxiomReport(
-                        (
-                            AxiomCheck(
-                                "horn-filling-count",
-                                False,
-                                {"horn": list(ws), "fillers": count},
-                            ),
-                        )
-                    )
-    return AxiomReport((AxiomCheck("horn-filling-count", True, None),))
+
+    def miscounted_horns():
+        for big in itertools.combinations(h.vertices, n + 1):
+            faces = [tuple(v for v in big if v != big[j]) for j in range(n + 1)]
+            fibs = [h.fiber(f) for f in faces]
+            for gap in range(n + 1):
+                pools = [fibs[j] for j in range(n + 1) if j != gap]
+                for pick in itertools.product(*pools):
+                    ws = list(pick[:gap]) + [None] + list(pick[gap:])
+                    if not is_partially_compatible(h, ws):
+                        continue
+                    count = len(h.fillers.get((gap, pick), ()))
+                    if count != 1:
+                        yield {"horn": list(ws), "fillers": count}
+
+    return AxiomReport((first_failure("horn-filling-count", miscounted_horns()),))

@@ -27,6 +27,7 @@ from .polygroupoid import (
     AxiomReport,
     Polygroupoid,
     _config_key,
+    first_failure,
     from_json_dict,
     standard_with_coordinates,
 )
@@ -136,129 +137,105 @@ def check_tower(t) -> AxiomReport:
 
 
 def _check_group_tower(t: GroupTower) -> AxiomReport:
-    checks = []
+    def mistyped():
+        for u, v in t.poset.strict_pairs():
+            hom = t.homs.get((u, v))
+            if hom is None or hom.source != t.groups[v] or hom.target != t.groups[u]:
+                yield {"edge": [u, v], "reason": "missing or mistyped hom"}
 
-    witness = None
-    for u, v in t.poset.strict_pairs():
-        hom = t.homs.get((u, v))
-        if hom is None or hom.source != t.groups[v] or hom.target != t.groups[u]:
-            witness = {"edge": [u, v], "reason": "missing or mistyped hom"}
-            break
-    checks.append(AxiomCheck("hom-typing", witness is None, witness))
+    def not_surjective():
+        for u, v in t.poset.strict_pairs():
+            if not t.homs[(u, v)].is_surjective():
+                yield {"edge": [u, v]}
 
-    witness = None
-    if not checks[-1].passed:
-        checks.append(AxiomCheck("surjectivity", False, {"skipped": True}))
-        checks.append(AxiomCheck("functoriality", False, {"skipped": True}))
-        return AxiomReport(tuple(checks))
-    for u, v in t.poset.strict_pairs():
-        if not t.homs[(u, v)].is_surjective():
-            witness = {"edge": [u, v]}
-            break
-    checks.append(AxiomCheck("surjectivity", witness is None, witness))
-
-    witness = None
-    for u in t.poset.nodes:
-        if t.hom(u, u).matrix != GroupHom.identity(t.groups[u]).matrix:
-            witness = {"node": u}
-            break
-    if witness is None:
+    def not_functorial():
+        for u in t.poset.nodes:
+            if t.hom(u, u).matrix != GroupHom.identity(t.groups[u]).matrix:
+                yield {"node": u}
         for u, v in t.poset.strict_pairs():
             for w in t.poset.nodes:
                 if t.poset.le(v, w) and v != w:
                     lhs = t.hom(u, v).compose(t.hom(v, w))
                     if lhs != t.hom(u, w):
-                        witness = {"chain": [u, v, w]}
-                        break
-            if witness:
-                break
-    checks.append(AxiomCheck("functoriality", witness is None, witness))
+                        yield {"chain": [u, v, w]}
 
-    return AxiomReport(tuple(checks))
+    typing = first_failure("hom-typing", mistyped())
+    if not typing.passed:
+        skipped = [AxiomCheck(axiom, False, {"skipped": True}) for axiom in ("surjectivity", "functoriality")]
+        return AxiomReport((typing, *skipped))
+    return AxiomReport(
+        (
+            typing,
+            first_failure("surjectivity", not_surjective()),
+            first_failure("functoriality", not_functorial()),
+        )
+    )
 
 
 def _check_poly_tower(t: PolyTower) -> AxiomReport:
-    checks = []
     arities = {h.arity for h in t.nodes.values()}
     vertex_sets = {h.vertices for h in t.nodes.values()}
     shape_ok = len(arities) == 1 and len(vertex_sets) == 1
-    checks.append(
-        AxiomCheck(
-            "shared-shape",
-            shape_ok,
-            None if shape_ok else {"arities": sorted(arities), "vertex_sets": len(vertex_sets)},
-        )
+    shape = AxiomCheck(
+        "shared-shape",
+        shape_ok,
+        None if shape_ok else {"arities": sorted(arities), "vertex_sets": len(vertex_sets)},
     )
     if not shape_ok:
-        return AxiomReport(tuple(checks))
-    n = next(iter(arities))
+        return AxiomReport((shape,))
 
-    witness = None
-    for u, v in t.poset.strict_pairs():
-        rho = t.rho.get((u, v))
-        hv, hu = t.nodes[v], t.nodes[u]
-        if rho is None:
-            witness = {"edge": [u, v], "reason": "missing rho"}
-            break
-        tops_v = [w for c in hv.top_configs for w in hv.fiber(c)]
-        if sorted(rho) != sorted(tops_v):
-            witness = {"edge": [u, v], "reason": "rho domain is not the top sort"}
-            break
-        for w, img in sorted(rho.items()):
-            if img not in hu.config_of or hu.config_of[img] != hv.config_of[w]:
-                witness = {"edge": [u, v], "element": w, "reason": "not fiber-preserving"}
-                break
-        if witness:
-            break
-        for c in hv.top_configs:
-            if {rho[w] for w in hv.fiber(c)} != set(hu.fiber(c)):
-                witness = {"edge": [u, v], "config": list(c), "reason": "not surjective on fiber"}
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("rho-fiber-surjections", witness is None, witness))
-    if witness is not None:
-        return AxiomReport(tuple(checks))
+    def not_fiber_surjections():
+        for u, v in t.poset.strict_pairs():
+            rho = t.rho.get((u, v))
+            hv, hu = t.nodes[v], t.nodes[u]
+            if rho is None:
+                yield {"edge": [u, v], "reason": "missing rho"}
+            tops_v = [w for c in hv.top_configs for w in hv.fiber(c)]
+            if sorted(rho) != sorted(tops_v):
+                yield {"edge": [u, v], "reason": "rho domain is not the top sort"}
+            for w, img in sorted(rho.items()):
+                if img not in hu.config_of or hu.config_of[img] != hv.config_of[w]:
+                    yield {"edge": [u, v], "element": w, "reason": "not fiber-preserving"}
+            for c in hv.top_configs:
+                if {rho[w] for w in hv.fiber(c)} != set(hu.fiber(c)):
+                    yield {"edge": [u, v], "config": list(c), "reason": "not surjective on fiber"}
 
-    witness = None
-    for u, v in t.poset.strict_pairs():
-        hv, hu = t.nodes[v], t.nodes[u]
-        for w in sorted(t.rho[(u, v)]):
-            if hu.pi[t.rho[(u, v)][w]] != hv.pi[w]:
-                witness = {"edge": [u, v], "element": w}
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("rho-commutes-with-pi", witness is None, witness))
+    def pi_mismatches():
+        for u, v in t.poset.strict_pairs():
+            hv, hu = t.nodes[v], t.nodes[u]
+            for w in sorted(t.rho[(u, v)]):
+                if hu.pi[t.rho[(u, v)][w]] != hv.pi[w]:
+                    yield {"edge": [u, v], "element": w}
 
-    witness = None
-    for u, v in t.poset.strict_pairs():
-        for w in t.poset.nodes:
-            if t.poset.le(v, w) and v != w:
-                for x in sorted(t.rho[(v, w)]):
-                    if t.rho[(u, v)][t.rho[(v, w)][x]] != t.rho[(u, w)][x]:
-                        witness = {"chain": [u, v, w], "element": x}
-                        break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("rho-functoriality", witness is None, witness))
+    def not_functorial():
+        for u, v in t.poset.strict_pairs():
+            for w in t.poset.nodes:
+                if t.poset.le(v, w) and v != w:
+                    for x in sorted(t.rho[(v, w)]):
+                        if t.rho[(u, v)][t.rho[(v, w)][x]] != t.rho[(u, w)][x]:
+                            yield {"chain": [u, v, w], "element": x}
 
-    witness = None
-    for u, v in t.poset.strict_pairs():
-        hv, hu = t.nodes[v], t.nodes[u]
-        rho = t.rho[(u, v)]
-        for tup in sorted(hv.q):
-            image = tuple(rho[w] for w in tup)
-            if image not in hu.q:
-                witness = {"edge": [u, v], "tuple": list(tup), "image": list(image)}
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("q-coherence", witness is None, witness))
+    def q_images_outside_q():
+        for u, v in t.poset.strict_pairs():
+            hv, hu = t.nodes[v], t.nodes[u]
+            rho = t.rho[(u, v)]
+            for tup in sorted(hv.q):
+                image = tuple(rho[w] for w in tup)
+                if image not in hu.q:
+                    yield {"edge": [u, v], "tuple": list(tup), "image": list(image)}
 
-    return AxiomReport(tuple(checks))
+    surjections = first_failure("rho-fiber-surjections", not_fiber_surjections())
+    if not surjections.passed:
+        return AxiomReport((shape, surjections))
+    return AxiomReport(
+        (
+            shape,
+            surjections,
+            first_failure("rho-commutes-with-pi", pi_mismatches()),
+            first_failure("rho-functoriality", not_functorial()),
+            first_failure("q-coherence", q_images_outside_q()),
+        )
+    )
 
 
 def group_threads(t: GroupTower):
@@ -450,46 +427,36 @@ def check_thread_action(t: PolyTower, acts, config) -> AxiomReport:
     gt = group_tower_from_poly(t, acts)
     limit_group, projections = inverse_limit(gt)
     threads = element_threads(t, config)
-    checks = []
 
-    witness = None
-    thread_set = set(threads)
-    for gamma in limit_group.elements():
-        for th in threads:
-            image = tuple(
-                (u, acts[u].action[tuple(config)][w][projections[u](gamma).coords])
-                for u, w in th
-            )
-            if image not in thread_set:
-                witness = {"gamma": list(gamma.coords), "thread": [list(p) for p in th]}
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("thread-action-closure", witness is None, witness))
+    def image(gamma, th):
+        return tuple(
+            (u, acts[u].action[tuple(config)][w][projections[u](gamma).coords]) for u, w in th
+        )
 
-    witness = None
-    for th1 in threads:
-        for th2 in threads:
-            movers = []
-            for gamma in limit_group.elements():
-                image = tuple(
-                    (u, acts[u].action[tuple(config)][w][projections[u](gamma).coords])
-                    for u, w in th1
-                )
-                if image == th2:
-                    movers.append(gamma)
-            if len(movers) != 1:
-                witness = {
-                    "from": [list(p) for p in th1],
-                    "to": [list(p) for p in th2],
-                    "movers": len(movers),
-                }
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("thread-action-regular-transitive", witness is None, witness))
+    def not_closed():
+        thread_set = set(threads)
+        for gamma in limit_group.elements():
+            for th in threads:
+                if image(gamma, th) not in thread_set:
+                    yield {"gamma": list(gamma.coords), "thread": [list(p) for p in th]}
 
-    return AxiomReport(tuple(checks))
+    def not_regular():
+        for th1 in threads:
+            for th2 in threads:
+                movers = [gamma for gamma in limit_group.elements() if image(gamma, th1) == th2]
+                if len(movers) != 1:
+                    yield {
+                        "from": [list(p) for p in th1],
+                        "to": [list(p) for p in th2],
+                        "movers": len(movers),
+                    }
+
+    return AxiomReport(
+        (
+            first_failure("thread-action-closure", not_closed()),
+            first_failure("thread-action-regular-transitive", not_regular()),
+        )
+    )
 
 
 def poly_tower_to_json_dict(t: PolyTower) -> dict:

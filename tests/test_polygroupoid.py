@@ -392,6 +392,18 @@ class TestHornFilling:
         assert count_horn_fillers(h, (w12, None, w01)) == 1
         assert count_horn_fillers(h, (None, w02, w01)) == 1
 
+    def test_empty_face_fiber_fails(self):
+        # the fiber over (1, 2) emptied, with its elements' pi and its
+        # Q-tuples: the horns whose gap sits over it have no filler
+        h = standard(Z4, range(4), 2)
+        gone = set(h.fiber((1, 2)))
+        pi = {w: t for w, t in h.pi.items() if w not in gone}
+        q = [t for t in h.q if not gone & set(t)]
+        emptied = polygroupoid(2, h.vertices, {**h.fibers, (1, 2): ()}, pi, q)
+        (check,) = check_horn_filling(emptied).checks
+        assert not check.passed
+        assert check.witness == {"horn": [None, "w:0,2:0", "w:0,1:0"], "fillers": 0}
+
 
 class TestScramble:
     def test_axioms_preserved(self):
