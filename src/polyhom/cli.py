@@ -17,7 +17,6 @@ import itertools
 import json
 import sys
 
-from . import selftest as selftest_mod
 from .algebra import BoundaryCompositionError, IntMatrix, abelian_group, homology
 from .binding import ExtractionError, action_law_witness, base_config, extract
 from .hurewicz import verdict
@@ -276,7 +275,9 @@ def cmd_tower_limit(args):
 
 
 def cmd_selftest(args):
-    results = selftest_mod.run_selftest(quick=args.quick, inject_fault=args.inject_fault)
+    from . import selftest
+
+    results = selftest.run_selftest(quick=args.quick, inject_fault=args.inject_fault)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} criterion {r.criterion} ({r.name}) [{r.seconds:.2f}s] {r.detail}"
         for r in results

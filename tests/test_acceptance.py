@@ -7,6 +7,10 @@ with pytest -s and in the CLI selftest).
 
 import time
 
+import pytest
+
+from polyhom.algebra import abelian_group
+from polyhom.polygroupoid import check_all_associativity, scramble, standard
 from polyhom.selftest import (
     action_law,
     blind_extraction,
@@ -82,3 +86,14 @@ def test_criterion_8_fault_sensitivity():
 def test_criterion_9_homology_kernel():
     passed, seconds, detail = timed(lambda: homology_kernel(random_matrices=500))
     report(9, "homology-kernel", passed, seconds, 10, detail)
+
+
+@pytest.mark.parametrize("order,size", [(3, 7), (4, 6)])
+def test_associativity_frontier_n4(order, size):
+    h = scramble(standard(abelian_group(order), range(size), 4), 1)
+    start = time.perf_counter()
+    passed = check_all_associativity(h).passed
+    seconds = time.perf_counter() - start
+    print(f"{'PASS' if passed else 'FAIL'} associativity n=4 Z/{order} V={size} [{seconds:.2f}s / budget 5s]")
+    assert passed
+    assert seconds <= 5, f"n=4 Z/{order} V={size} associativity took {seconds:.1f}s"

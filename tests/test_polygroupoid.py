@@ -1,11 +1,19 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyhom import binding
 from polyhom.algebra import FinAbelianGroup, abelian_group
+from polyhom.binding import base_config, extract, verify_action
 from polyhom.faults import drop_q_tuple, duplicate_horn, rewire_pi, shift_q
+from polyhom.hurewicz import check_boundary_zero, cosimplex_datum
 from polyhom.polygroupoid import (
+    AxiomCheck,
+    AxiomReport,
     EmptyFiberError,
     check_all_associativity,
     check_associativity,
@@ -372,6 +380,210 @@ class TestAssociativitySearch:
         counted = dataclasses.replace(h, q=CountingSet(h.q))
         assert check_associativity(counted, (0, 1, 2, 3)).passed
         assert counted.q.calls <= 512
+
+
+def reference_check_all_associativity(h):
+    """The all-rows grid search as check_all_associativity ran it before
+    it decided grids from their first leaf: for every (n+2)-subset and
+    every deleted row l in order, depth-first over the cells of the
+    other rows, row-completing cells taken from horn fillers, pairwise
+    compatibility from tables; the first leaf whose row l is outside Q
+    is the witness."""
+    n = h.arity
+    cells = list(itertools.combinations(range(n + 2), 2))
+    rows = [[(min(i, m), max(i, m)) for m in range(n + 2) if m != i] for i in range(n + 2)]
+
+    def check(c):
+        cell_fiber = {}
+        for cell in cells:
+            config = tuple(v for idx, v in enumerate(c) if idx not in cell)
+            if not h.fiber(config):
+                raise EmptyFiberError(config)
+            cell_fiber[cell] = h.fiber(config)
+
+        def run_for_deleted(ell):
+            order = []
+            for i in range(n + 2):
+                if i != ell:
+                    order.extend(cell for cell in rows[i] if cell not in order)
+            position = {cell: pos for pos, cell in enumerate(order)}
+            pairs = [[] for _ in order]
+            for row in rows:
+                for b, cell in enumerate(row):
+                    for a, other in enumerate(row):
+                        if position[other] < position[cell]:
+                            pairs[position[cell]].append(
+                                (position[other], a, b - 1) if a < b else (position[other], a - 1, b)
+                            )
+            horn = [None] * len(order)
+            also_closes = [[] for _ in order]
+            for i in range(n + 2):
+                if i != ell:
+                    positions = [position[x] for x in rows[i]]
+                    last = max(positions)
+                    if horn[last] is None:
+                        slot = positions.index(last)
+                        horn[last] = (slot, positions[:slot] + positions[slot + 1 :])
+                    else:
+                        also_closes[last].append(positions)
+            vals = [None] * len(order)
+
+            def dfs(pos):
+                if pos == len(order):
+                    tup = tuple(vals[position[x]] for x in rows[ell])
+                    if tup in h.q:
+                        return None
+                    return {
+                        "deleted_row": ell,
+                        "cells": {f"{a},{b}": vals[position[(a, b)]] for a, b in cells},
+                        "failing_row": list(tup),
+                    }
+                fib = cell_fiber[order[pos]]
+                if horn[pos] is None:
+                    cands = fib
+                else:
+                    slot, rest = horn[pos]
+                    key = (slot, tuple(vals[p] for p in rest))
+                    cands = [w for w in h.fillers.get(key, ()) if w in fib]
+                for w in cands:
+                    if all(h.pi[w][i] == h.pi[vals[p]][j] for p, i, j in pairs[pos]):
+                        vals[pos] = w
+                        if all(tuple(vals[p] for p in row) in h.q for row in also_closes[pos]):
+                            witness = dfs(pos + 1)
+                            if witness:
+                                return witness
+                return None
+
+            return dfs(0)
+
+        witness = next(filter(None, map(run_for_deleted, range(n + 2))), None)
+        axiom = f"associativity@{','.join(map(str, c))}"
+        return {"axiom": axiom, "passed": witness is None, "witness": witness}
+
+    checks = [check(c) for c in itertools.combinations(h.vertices, n + 2)]
+    return {"passed": all(ch["passed"] for ch in checks), "checks": checks}
+
+
+def translated(h, shifts):
+    """Q over each union u translated by shifts[u] steps of shift_q."""
+    for union, steps in sorted(shifts.items()):
+        for _ in range(steps):
+            h = shift_q(h, unions=[union])
+    return h
+
+
+def _first_leaf_cases():
+    Z8 = abelian_group(8)
+    Z2Z4 = abelian_group(2, 4)
+    cases = []
+    for n, group, size, seed in [
+        (2, Z2, 4, 1), (2, Z3, 5, 2), (2, Z4, 5, 3), (2, Z2Z4, 4, 4), (2, Z8, 5, 5),
+        (3, Z2, 5, 6), (3, Z3, 5, 7), (3, Z2, 6, 8), (4, Z2, 6, 9), (4, Z3, 6, 10),
+    ]:
+        name = f"standard-n{n}-Z{'x'.join(map(str, group.invariant_factors))}-V{size}"
+        cases.append((name, scramble(standard(group, range(size), n), seed)))
+    for n, group, size in [(2, Z4, 5), (2, Z2Z4, 4), (3, Z2, 5), (3, Z3, 5)]:
+        rng = random.Random(size * 100 + n * 10 + group.order())
+        unions = list(itertools.combinations(range(size), n + 1))
+        for k in range(3):
+            chosen = rng.sample(unions, rng.randint(1, len(unions) // 2))
+            h = shift_q(standard(group, range(size), n), unions=chosen)
+            name = f"shift_q-n{n}-Z{'x'.join(map(str, group.invariant_factors))}-V{size}-{k}"
+            cases.append((name, scramble(h, k)))
+    for group in (Z4, Z8):
+        healthy = standard(group, range(5), 2)
+        cases.append((f"duplicate_horn-Z{group.order()}", scramble(duplicate_horn(healthy), 4)))
+        cases.append((f"rewire_pi-Z{group.order()}", scramble(rewire_pi(healthy), 5)))
+        dropped = drop_q_tuple(healthy, union=(1, 2, 3))
+        cases.append((f"drop_q_tuple-Z{group.order()}", scramble(dropped, 7)))
+    cases.append(("rewire_pi-n3", scramble(rewire_pi(standard(Z2, range(5), 3)), 5)))
+    return [pytest.param(name, h, id=name) for name, h in cases]
+
+
+class TestFirstLeaf:
+    @pytest.mark.parametrize("name,h", _first_leaf_cases())
+    def test_matches_all_rows_search(self, name, h):
+        assert check_all_associativity(h).to_json_dict() == reference_check_all_associativity(h)
+
+    def test_emptied_fiber_raises_at_the_same_subset(self):
+        h = scramble(standard(Z3, range(5), 2), 1)
+        gone = set(h.fiber((2, 4)))
+        pi = {w: t for w, t in h.pi.items() if w not in gone}
+        q = [t for t in h.q if not gone & set(t)]
+        emptied = polygroupoid(2, h.vertices, {**h.fibers, (2, 4): ()}, pi, q)
+        with pytest.raises(EmptyFiberError) as expected:
+            reference_check_all_associativity(emptied)
+        with pytest.raises(EmptyFiberError) as got:
+            check_all_associativity(emptied)
+        assert got.value.config == expected.value.config == (2, 4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([(2, 2, 4), (2, 3, 4), (2, 4, 5), (3, 2, 5), (3, 3, 5)]),
+        st.data(),
+        st.integers(0, 1000),
+    )
+    def test_random_translates(self, shape, data, seed):
+        n, order, size = shape
+        unions = list(itertools.combinations(range(size), n + 1))
+        steps = data.draw(st.lists(st.integers(0, order - 1), min_size=len(unions), max_size=len(unions)))
+        h = scramble(translated(standard(abelian_group(order), range(size), n), dict(zip(unions, steps))), seed)
+        assert check_all_associativity(h).to_json_dict() == reference_check_all_associativity(h)
+
+    def test_one_leaf_per_subset(self):
+        # one (n+2)-subset; 3^10 leaves per deleted row in the all-rows
+        # search.  Under the premise verify_action makes |Q| membership
+        # tests and the grid one, at its first leaf.
+        h = scramble(standard(Z3, range(6), 4), 1)
+        counted = dataclasses.replace(h, q=CountingSet(h.q))
+        assert check_all_associativity(counted).passed
+        assert counted.q.calls <= len(h.q) + 1
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            scramble(standard(Z4, range(5), 2), 2),
+            scramble(shift_q(standard(Z4, range(5), 2), unions=[(1, 3, 4)]), 3),
+        ],
+        ids=["passing", "shift_q"],
+    )
+    def test_failed_certificate_scans_every_row(self, monkeypatch, h):
+        full = dataclasses.replace(h, q=CountingSet(h.q))
+        subsets = list(itertools.combinations(h.vertices, 4))
+        expected = AxiomReport(tuple(check_associativity(full, c).checks[0] for c in subsets))
+        refused = AxiomReport((AxiomCheck("q-action-law", False, {"reason": "refused"}),))
+        monkeypatch.setattr(binding, "verify_action", lambda h, act: refused)
+        counted = dataclasses.replace(h, q=CountingSet(h.q))
+        assert check_all_associativity(counted) == expected
+        assert expected.to_json_dict() == reference_check_all_associativity(h)
+        assert counted.q.calls == full.q.calls
+
+
+class TestBoundaryOracle:
+    """On inputs that obey the action law, a grid passes exactly when the
+    zero-twist boundary sum over its subset vanishes."""
+
+    @pytest.mark.parametrize(
+        "n,group,size",
+        [(2, Z2, 4), (2, Z3, 5), (2, Z4, 5), (3, Z2, 5), (3, Z3, 5)],
+        ids=["n2-Z2-V4", "n2-Z3-V5", "n2-Z4-V5", "n3-Z2-V5", "n3-Z3-V5"],
+    )
+    def test_grid_passes_iff_boundary_vanishes(self, n, group, size):
+        rng = random.Random(31 * size + n + group.order())
+        unions = list(itertools.combinations(range(size), n + 1))
+        healthy = standard(group, range(size), n)
+        instances = [scramble(healthy, 1)] + [
+            scramble(shift_q(healthy, unions=rng.sample(unions, rng.randint(1, len(unions) // 2))), k)
+            for k in range(4)
+        ]
+        failing = 0
+        for h in instances:
+            found, act = extract(h, base_config(h))
+            assert verify_action(h, act).passed
+            for c, check in zip(itertools.combinations(h.vertices, n + 2), check_all_associativity(h).checks):
+                assert check.passed == check_boundary_zero(h, act, cosimplex_datum(h, found, c))
+                failing += not check.passed
+        assert failing
 
 
 class TestHornFilling:
