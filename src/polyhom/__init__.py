@@ -31,7 +31,6 @@ from .polygroupoid import (
     Polygroupoid,
     check_associativity,
     check_axioms,
-    induced_automorphism,
     is_compatible,
     scramble,
     standard,

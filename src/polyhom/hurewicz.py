@@ -29,6 +29,13 @@ T does not depend on its twists: the pair (a, b), a < b, is read by
 co-face a at position b-1 and by co-face b at position a, and its two
 terms carry the signs (-1)^(a+b-1) and (-1)^(a+b), which cancel.
 Checking T at zero twists on every (n+2)-subset is therefore exhaustive.
+The same identity decides the defect and pocket-group stages: eps
+minus eps(0) is the homomorphism (-1)^(n+1) alt, so it is fixed by its
+values on the unit twists of one simplex, and its image, the pocket
+group, is the span of those values.  `verdict` checks the identity there
+and lets the proof, not an enumeration, cover the other twist vectors;
+only an eps replaced by another function could pass that check and
+still break the identity at a twist it does not evaluate.
 
 A propped-up simplex here keeps exactly what eps consumes: one chosen
 fiber element per abstract face (the selector) plus one group twist per
@@ -210,8 +217,9 @@ def natural_iso(group: FinAbelianGroup, g: SimplexDatum, g2: SimplexDatum):
 
     The alternating sum is a homomorphism G^(n+1) -> G, so
     alt(t2 - t1) = alt(t2) - alt(t1): a certificate exists exactly when
-    alt(t1) == alt(t2).  `verdict` therefore keys twist vectors by their
-    alternating sum instead of comparing them pairwise."""
+    alt(t1) == alt(t2).  `verdict` therefore builds no certificate: its
+    defect stage checks eps(t) - eps(0) = (-1)^(n+1) alt(t), under which
+    equal defect and a certificate coincide."""
     if g.vertices != g2.vertices:
         raise ValueError("data sit over different vertex sets")
     if g.faces != g2.faces:
@@ -260,15 +268,15 @@ class VerdictReport:
 
 def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
     """Five-stage executable comparison of the pocket-class group with
-    the extracted binding group.  Every stage is exhaustive; `seed` is
-    accepted and ignored.
+    the extracted binding group; `seed` is accepted and ignored.
 
     (i) extract the group and action and check the action law
     (`verify_action`); (ii) the defect vanishes on boundaries of
-    (n+2)-vertex data; (iii) equal defect is equivalent to a
-    natural-isomorphism certificate over fixed faces; (iv) twisting
-    reaches every group element; (v) the group of pocket classes, keyed
-    by their defect, matches the extracted group.
+    (n+2)-vertex data; (iii) the defect obeys
+    eps(t) - eps(0) = (-1)^(n+1) alt(t), so over fixed faces equal
+    defect is equivalent to a natural-isomorphism certificate; (iv)
+    twisting reaches every group element; (v) the group of pocket
+    classes, keyed by their defect, matches the extracted group.
 
     Stage (ii) checks each (n+2)-subset at zero twists only.  Under the
     law checked in (i), eps(t) = eps(0) + (-1)^(n+1) alt(t) on every
@@ -280,16 +288,25 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
     sum does not depend on the twists, and the zero-twist datum over the
     witness vertices is a counterexample for every twist.
 
-    Stages (iii) and (v) share one pass over the |G|^(n+1) twist vectors
-    of the base simplex in product order.  (iii) keys each vector t by
-    alt(t), which decides natural isomorphism (see `natural_iso`); the
-    pairwise law then says that the map alt(t) -> eps is well defined
-    and injective, and the first collision in either direction is the
-    witness pair.  (v) keys each vector by eps(t) - eps(0), with the
-    first vector of each key as its class representative, and checks
-    eps(r + s) - eps(0) = (eps(r) - eps(0)) + (eps(s) - eps(0)) on every
-    pair of representatives; a failing pair is the witness.  The pocket
-    group is then the image of eps - eps(0).
+    Stages (iii) and (v) read the same identity on the base simplex, the
+    least (n+1)-subset.  (iii) evaluates eps at the zero twist and at
+    the (n+1).ngens unit twists u (slot i, unit coordinate vector s, in
+    (i, s) order), counts the evaluations in `checked`, and compares
+    eps(u) - eps(0) with (-1)^(n+1) alt(u); the first mismatch is the
+    witness.  It enumerates no other twist: once (i) has passed, the
+    proof in the module docstring, not an enumeration, covers the other
+    |G|^(n+1) - (n+1).ngens - 1 vectors.  The certificate of
+    `natural_iso` exists exactly when alt(t1) = alt(t2), so under the
+    identity equal defect and certificate coincide.  Since
+    t -> eps(t) - eps(0) is then a homomorphism and the unit twists
+    generate G^(n+1), its image, the group of pocket classes keyed by
+    defect, is the subgroup spanned by the differences eps(u) - eps(0);
+    (v) presents that span with `group_from_addition`.
+
+    Only an eps replaced by some other function, as the tests do, could
+    pass (iii) and still break the identity at a twist it does not
+    evaluate; replacing it is also the only way to make (iii) or (iv)
+    fail.
     """
     n = h.arity
     stages = {}
@@ -298,7 +315,7 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
     try:
         group, act = extract(h, base_config(h))
     except ExtractionError as exc:
-        stages["extract"] = {"passed": False, "witness": str(exc)}
+        stages["extract"] = {"passed": False, "witness": {"stage": exc.stage, "witness": exc.witness}}
         return VerdictReport(stages, None, None, False)
     law = action_law_witness(h, act)
     if law is not None:
@@ -306,7 +323,7 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
         return VerdictReport(stages, None, None, False)
     stages["extract"] = {"passed": True, "group": str(group)}
     canon = canonical_faces(h)
-    checked = 0  # subsets, then twist vectors, read by the running stage
+    checked = 0
 
     def boundary_failures():
         nonlocal checked
@@ -321,51 +338,31 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
         witness = exc.to_json_dict()
     stages["boundary-vanishing"] = {"passed": witness is None, "checked": checked, "witness": witness}
 
-    checked = 0
     base_vertices = min(itertools.combinations(h.vertices, n + 1))
     base_faces = _simplex_faces(canon, base_vertices)
-
-    def datum(t):
-        return simplex_datum(h, group, base_vertices, twists=t, faces=base_faces)
-
-    def coords(t):
-        return [list(g.coords) for g in t]
-
-    by_eps = {}  # eps -> (alt(t), t) of the first vector with that defect
-
-    def collisions():
-        """The pass over every twist vector t in product order: yields
-        a witness wherever alt(t) or eps(t) was first seen with another
-        defect or key.  (v) needs every defect value, so the pass is
-        drained after its first witness."""
-        nonlocal checked
-        by_key = {}  # alt(t) -> (eps, t) of the first vector with that key
-        for t in itertools.product(group.elements(), repeat=n + 1):
-            key = group.alternating_sum(t)
-            eps = epsilon(h, act, datum(t))
-            eps1, t_key = by_key.setdefault(key, (eps, t))
-            key1, t_eps = by_eps.setdefault(eps, (key, t))
-            checked += 1
-            t1 = t_key if eps1 != eps else t_eps if key1 != key else None
-            if t1 is not None:
-                yield {
-                    "twists": [coords(t1), coords(t)],
-                    "equal_defect": epsilon(h, act, datum(t1)) == eps,
-                    "certificate": natural_iso(group, datum(t1), datum(t)) is not None,
-                }
-
-    pass_error = None
-    witnesses = collisions()
+    zero = group.zero()
+    units = [
+        tuple(group.element(int(k == s) for k in range(group.ngens)) if j == i else zero for j in range(n + 1))
+        for i in range(n + 1)
+        for s in range(group.ngens)
+    ]
+    values = []  # eps at the zero twist, then at each unit twist
+    error = None
     try:
-        witness = next(witnesses, None)
+        for t in [(zero,) * (n + 1)] + units:
+            values.append(epsilon(h, act, simplex_datum(h, group, base_vertices, twists=t, faces=base_faces)))
     except EpsilonError as exc:
-        witness = pass_error = exc.to_json_dict()
-    stages["defect-vs-natural-iso"] = {"passed": witness is None, "checked": checked, "witness": witness}
-    try:
-        for _ in witnesses:  # the rest of the pass, for (v)
-            pass
-    except EpsilonError as exc:
-        pass_error = exc.to_json_dict()
+        error = exc.to_json_dict()
+    diffs = [group.sub(v, values[0]) for v in values[1:]]
+
+    def identity_failures():
+        for u, d in zip(units, diffs):
+            expected = group.scale((-1) ** (n + 1), group.alternating_sum(u))
+            if d != expected:
+                yield {"twists": [list(g.coords) for g in u], "defect": list(d.coords), "expected": list(expected.coords)}
+
+    witness = error if error is not None else next(identity_failures(), None)
+    stages["defect-vs-natural-iso"] = {"passed": witness is None, "checked": len(values), "witness": witness}
 
     def unreached():
         for big in itertools.combinations(h.vertices, n + 1):
@@ -384,30 +381,19 @@ def verdict(h: Polygroupoid, seed=0) -> VerdictReport:
         witness = exc.to_json_dict()
     stages["twist-surjectivity"] = {"passed": witness is None, "witness": witness}
 
-    witness = pass_error
-    if witness is None:
-        eps0 = next(iter(by_eps))  # the zero vector comes first
-        keys = [group.sub(eps, eps0) for eps in by_eps]
-        reps = [t for _, t in by_eps.values()]
-        class_of = {k: i for i, k in enumerate(keys)}
-        table = {}
-        for a, b in itertools.product(range(len(reps)), repeat=2):
-            # r_a + r_b was in the pass, so its defect is a key
-            d = group.sub(epsilon(h, act, datum(tuple(map(group.add, reps[a], reps[b])))), eps0)
-            if d != group.add(keys[a], keys[b]):
-                witness = {
-                    "vertices": list(base_vertices),
-                    "twists": [coords(reps[a]), coords(reps[b])],
-                    "reason": "defect not additive",
-                }
-                break
-            table[a, b] = class_of[d]
-    if witness is None:
-        # the keys are closed under addition, so this is a subgroup table
-        pocket, _, _ = group_from_addition(range(len(reps)), lambda a, b: table[a, b], 0)
-        stages["pocket-group"] = {"passed": True, "classes": len(reps)}
+    if error is None:
+        span = {zero: None}  # the subgroup spanned by diffs, in discovery order
+        for d in diffs:
+            stack = list(span)
+            while stack:
+                y = group.add(stack.pop(), d)
+                if y not in span:
+                    span[y] = None
+                    stack.append(y)
+        pocket, _, _ = group_from_addition(span, group.add, zero)
+        stages["pocket-group"] = {"passed": True, "classes": len(span)}
     else:
-        stages["pocket-group"] = {"passed": False, "witness": witness}
+        stages["pocket-group"] = {"passed": False, "witness": error}
 
     isomorphic = pocket is not None and iso_check(pocket, group)
     return VerdictReport(stages, group, pocket, isomorphic)

@@ -128,15 +128,6 @@ class Polygroupoid:
                 out.setdefault(key, []).append(tup[slot])
         return out
 
-    def fill_horn(self, slot, rest):
-        """Unique Q-filler of the horn, or None; rest omits the slot."""
-        found = self.fillers.get((slot, tuple(rest)))
-        if found is None:
-            return None
-        if len(found) > 1:
-            raise ValueError(f"horn has {len(found)} fillers; structure fails uniqueness")
-        return found[0]
-
     def to_json_dict(self):
         return {
             "arity": self.arity,
@@ -625,249 +616,6 @@ def scramble(h: Polygroupoid, seed) -> Polygroupoid:
         pi[mapping.get(w, w)] = tup
     q = [tuple(mapping[w] for w in tup) for tup in h.q]
     return polygroupoid(n, h.vertices, fibers, pi, q)
-
-
-@dataclass(frozen=True)
-class InducedMap:
-    """Sort-preserving bijection covering a vertex permutation."""
-
-    vertex_map: dict
-    elem_map: dict
-
-    def apply(self, x):
-        if isinstance(x, int):
-            return self.vertex_map[x]
-        return self.elem_map[x]
-
-    def compose(self, other):
-        """self after other."""
-        return InducedMap(
-            {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
-            {e: self.elem_map[f] for e, f in other.elem_map.items()},
-        )
-
-    def is_identity(self):
-        return all(v == w for v, w in self.vertex_map.items()) and all(
-            e == f for e, f in self.elem_map.items()
-        )
-
-
-@dataclass(frozen=True)
-class CoverSearch:
-    cover: InducedMap | None
-    obstruction: tuple | None
-
-
-def induced_automorphism(h: Polygroupoid, sigma) -> CoverSearch:
-    """Search for a structure map covering the vertex permutation sigma:
-    commuting with every pi, preserving Q, bijective fiber by fiber.
-
-    Deterministic backtracking: elements are visited in sorted fiber
-    order, candidate images tried in sorted order, and horn lookups
-    propagate forced images.  Returns the first cover found, or the
-    first obstructed fiber when none exists.
-    """
-    sigma = dict(sigma)
-    if sorted(sigma) != list(h.vertices) or sorted(sigma.values()) != list(h.vertices):
-        raise ValueError("sigma must be a permutation of the vertex set")
-    n = h.arity
-
-    def map_config(config):
-        return tuple(sorted(sigma[v] for v in config))
-
-    elem_map = {}
-    # lower sorts first: pi-commuting pins candidates tightly
-    for k in range(2, n):
-        configs = sorted(c for c in h.fibers if len(c) == k)
-        for config in configs:
-            target = h.fiber(map_config(config))
-            used = set()
-            for w in h.fiber(config):
-                mapped_pi = tuple(
-                    sigma[x] if isinstance(x, int) else elem_map[x] for x in h.pi[w]
-                )
-                # slots permute with the vertex order of the image config
-                image_cfg = map_config(config)
-                perm = _slot_permutation(config, image_cfg, sigma)
-                want = tuple(mapped_pi[perm.index(j)] for j in range(k))
-                cands = [x for x in target if h.pi[x] == want and x not in used]
-                if not cands:
-                    return CoverSearch(None, config)
-                elem_map[w] = cands[0]
-                used.add(cands[0])
-
-    top_configs = sorted(c for c in h.fibers if len(c) == n)
-    order = [w for c in top_configs for w in h.fiber(c)]
-    target_fiber = {}
-    for c in top_configs:
-        img = map_config(c)
-        if len(h.fiber(img)) != len(h.fiber(c)):
-            return CoverSearch(None, c)
-        target_fiber[c] = h.fiber(img)
-
-    expected_pi = {}
-    for c in top_configs:
-        image_cfg = map_config(c)
-        perm = _slot_permutation(c, image_cfg, sigma)
-        for w in h.fiber(c):
-            mapped_pi = tuple(
-                sigma[x] if isinstance(x, int) else elem_map[x] for x in h.pi[w]
-            )
-            expected_pi[w] = tuple(mapped_pi[perm.index(j)] for j in range(n))
-
-    q_of_elem = {}
-    for tup in h.q:
-        for w in tup:
-            q_of_elem.setdefault(w, []).append(tup)
-
-    tuple_perm = {}
-
-    def image_tuple(tup, partial):
-        """Image of a Q-tuple under the partial map, slots permuted to
-        the target vertex order; None entries where undecided."""
-        if tup not in tuple_perm:
-            union = sorted({v for w in tup for v in h.config_of[w]})
-            image_union = sorted(sigma[v] for v in union)
-            perm = [image_union.index(sigma[union[i]]) for i in range(len(union))]
-            tuple_perm[tup] = perm
-        perm = tuple_perm[tup]
-        out = [None] * len(tup)
-        for j, w in enumerate(tup):
-            out[perm[j]] = partial.get(w)
-        return out
-
-    assign = {}
-
-    def propagate(start):
-        """Forced assignments via horns around newly mapped elements;
-        unwinds its own trail and returns None on contradiction."""
-        stack = [start]
-        trail = []
-
-        def fail():
-            for x in trail:
-                del assign[x]
-            return None
-
-        while stack:
-            w = stack.pop()
-            for tup in q_of_elem.get(w, ()):
-                missing = [x for x in tup if x not in assign]
-                if len(missing) != 1:
-                    if not missing:
-                        img = image_tuple(tup, assign)
-                        if tuple(img) not in h.q:
-                            return fail()
-                    continue
-                x = missing[0]
-                img = image_tuple(tup, assign)
-                gap = img.index(None)
-                try:
-                    filler = h.fill_horn(gap, [y for y in img if y is not None])
-                except ValueError:
-                    return fail()
-                if filler is None:
-                    return fail()
-                if h.config_of[filler] != map_config(h.config_of[x]):
-                    return fail()
-                if any(assign.get(y) == filler for y in h.fiber(h.config_of[x])):
-                    return fail()
-                assign[x] = filler
-                trail.append(x)
-                stack.append(x)
-        return trail
-
-    def undo(trail):
-        for x in trail:
-            del assign[x]
-
-    def dfs(idx):
-        while idx < len(order) and order[idx] in assign:
-            idx += 1
-        if idx == len(order):
-            return True
-        w = order[idx]
-        c = h.config_of[w]
-        used = {assign[x] for x in h.fiber(c) if x in assign}
-        for cand in target_fiber[c]:
-            if cand in used or h.pi[cand] != expected_pi[w]:
-                continue
-            assign[w] = cand
-            trail = propagate(w)
-            if trail is not None and dfs(idx + 1):
-                return True
-            if trail is not None:
-                undo(trail)
-            del assign[w]
-        return False
-
-    if not dfs(0):
-        blocked = next((h.config_of[w] for w in order if w not in assign), None)
-        return CoverSearch(None, blocked)
-
-    full = dict(elem_map)
-    full.update(assign)
-    cover = InducedMap(sigma, full)
-    # final bidirectional Q check; bijectivity plus forward preservation
-    # already imply it, but the verification is cheap
-    for tup in h.q:
-        if tuple(image_tuple(tup, full)) not in h.q:
-            return CoverSearch(None, h.config_of[tup[0]])
-    return CoverSearch(cover, None)
-
-
-def _slot_permutation(config, image_cfg, sigma):
-    """perm[j] = position in image_cfg of sigma(config[j])."""
-    return [image_cfg.index(sigma[v]) for v in config]
-
-
-def check_induced_coherence(h: Polygroupoid, sigmas) -> AxiomReport:
-    """Composition coherence of the searched covers over the subgroup
-    generated by the given permutations: the cover found for sigma*tau
-    must equal cover(sigma) after cover(tau) on every element."""
-    ident = tuple(sorted(h.vertices))
-
-    def key(sig):
-        return tuple(sig[v] for v in ident)
-
-    found = {}
-    frontier = [dict(zip(ident, ident))]
-    found[key(frontier[0])] = induced_automorphism(h, frontier[0])
-    gens = [dict(s) for s in sigmas]
-    group = {key(frontier[0])}
-    while frontier:
-        sig = frontier.pop()
-        for g in gens:
-            comp = {v: g[sig[v]] for v in ident}
-            if key(comp) not in group:
-                group.add(key(comp))
-                found[key(comp)] = induced_automorphism(h, comp)
-                frontier.append(comp)
-    for k, res in sorted(found.items()):
-        if res.cover is None:
-            return AxiomReport(
-                (AxiomCheck("induced-coherence", False, {"missing_cover_for": list(k)}),)
-            )
-    perms = sorted(found)
-    for ka in perms:
-        for kb in perms:
-            sig_a = dict(zip(ident, ka))
-            sig_b = dict(zip(ident, kb))
-            comp = {v: sig_a[sig_b[v]] for v in ident}
-            lhs = found[key(comp)].cover
-            rhs = found[ka].cover.compose(found[kb].cover)
-            if lhs.elem_map != rhs.elem_map:
-                bad = next(e for e in lhs.elem_map if lhs.elem_map[e] != rhs.elem_map[e])
-                return AxiomReport(
-                    (
-                        AxiomCheck(
-                            "induced-coherence",
-                            False,
-                            {"sigma": list(ka), "tau": list(kb), "element": bad},
-                        ),
-                    )
-                )
-    return AxiomReport((AxiomCheck("induced-coherence", True, {"subgroup_order": len(perms)}),))
 
 
 def count_horn_fillers(h: Polygroupoid, ws):

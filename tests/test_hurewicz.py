@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyhom.hurewicz
-from polyhom.algebra import FinAbelianGroup, abelian_group, iso_check
+from polyhom.algebra import FinAbelianGroup, abelian_group, group_from_addition, iso_check
 from polyhom.binding import ActionTable, base_config, extract, verify_action
 from polyhom.faults import drop_q_tuple, shift_q, tamper_action
 from polyhom.hurewicz import (
@@ -24,7 +24,7 @@ from polyhom.hurewicz import (
     twist_by,
     verdict,
 )
-from polyhom.polygroupoid import scramble, standard, standard_with_coordinates
+from polyhom.polygroupoid import from_json, scramble, standard, standard_with_coordinates
 
 Z2 = abelian_group(2)
 Z4 = abelian_group(4)
@@ -189,6 +189,71 @@ def _boundary_instance(name):
     return h, group, act
 
 
+def _recheck_identity_witness(h, group, act, fake, witness):
+    """A stage-3 witness is one unit twist u of the base simplex at which
+    fake(u) - fake(0) differs from (-1)^(n+1) alt(u); the real defect
+    obeys the identity there."""
+    base = min(itertools.combinations(h.vertices, h.arity + 1))
+    u = [group.element(c) for c in witness["twists"]]
+    assert sum(g != group.zero() for g in u) == 1
+    alt = group.alternating_sum(u)
+    expected = alt if h.arity % 2 else group.neg(alt)
+    assert witness["expected"] == list(expected.coords)
+    for eps, fails in ((fake, True), (epsilon, False)):
+        defect = group.sub(
+            eps(h, act, simplex_datum(h, group, base, twists=u)), eps(h, act, simplex_datum(h, group, base))
+        )
+        assert (defect != expected) is fails
+        if fails:
+            assert witness["defect"] == list(defect.coords)
+
+
+def _parent_stages_3_5(h):
+    """Reference for verdict stages 3 and 5: one pass over all
+    |G|^(n+1) twist vectors of the base simplex.  Stage 3 keys each
+    vector by alt(t) and by eps(t) and fails on a collision in either
+    direction; stage 5 takes the first vector of each defect as its
+    class representative, checks additivity on every pair of them and
+    presents their table.  Returns (stage 3 passed, pocket group or None
+    when additivity fails)."""
+    group, act = extract(h, base_config(h))
+    n = h.arity
+    base = min(itertools.combinations(h.vertices, n + 1))
+
+    def eps(t):
+        return epsilon(h, act, simplex_datum(h, group, base, twists=t))
+
+    by_key, by_eps, collided = {}, {}, False
+    for t in itertools.product(group.elements(), repeat=n + 1):
+        key, e = group.alternating_sum(t), eps(t)
+        collided |= by_key.setdefault(key, e) != e or by_eps.setdefault(e, (key, t))[0] != key
+    eps0 = next(iter(by_eps))  # the zero vector comes first
+    keys = [group.sub(e, eps0) for e in by_eps]
+    reps = [t for _, t in by_eps.values()]
+    class_of = {k: i for i, k in enumerate(keys)}
+    table = {}
+    for a, b in itertools.product(range(len(reps)), repeat=2):
+        d = group.sub(eps(tuple(map(group.add, reps[a], reps[b]))), eps0)
+        if d != group.add(keys[a], keys[b]):
+            return not collided, None
+        table[a, b] = class_of[d]
+    pocket, _, _ = group_from_addition(range(len(reps)), lambda a, b: table[a, b], 0)
+    return not collided, pocket
+
+
+DIFFERENTIAL = {
+    "n2-z3": lambda: scramble(standard(abelian_group(3), range(4), 2), 11),
+    "n2-z4": lambda: scramble(standard(Z4, range(4), 2), 12),
+    "n2-z2+z2": lambda: scramble(standard(abelian_group(2, 2), range(4), 2), 13),
+    "n2-z8": lambda: scramble(standard(abelian_group(8), range(4), 2), 14),
+    "n3-z2": lambda: scramble(standard(Z2, range(5), 3), 15),
+    "n3-z3": lambda: scramble(standard(abelian_group(3), range(5), 3), 16),
+    "shift-z4": lambda: shift_q(standard(Z4, range(4), 2), unions=[(0, 1, 2)]),
+    "shift-z8": lambda: scramble(shift_q(standard(abelian_group(8), range(5), 2), unions=[(2, 3, 4)]), 3),
+    "shift-n3-z2": lambda: shift_q(standard(Z2, range(5), 3)),
+}
+
+
 class TestNaturalIso:
     def test_identity_certificate(self):
         h, coords, group, act = setup_z4()
@@ -351,38 +416,38 @@ class TestVerdict:
         assert report.stages["boundary-vanishing"]["checked"] == 1
 
     def test_defect_stage_exhaustive_over_vectors(self):
+        # the proof covers all 8^3 twist vectors; the stage evaluates the
+        # zero twist and the (n+1).ngens unit twists
         report = verdict(standard(abelian_group(8), range(4), 2))
         stage = report.stages["defect-vs-natural-iso"]
-        assert stage["passed"] and stage["checked"] == 8**3
-        assert "exhaustive" not in stage
+        assert stage["passed"] and stage["checked"] == 1 + 3 * 1
+        assert report.stages["pocket-group"] == {"passed": True, "classes": 8}
+        report = verdict(standard(abelian_group(2, 4), range(5), 3))
+        assert report.stages["defect-vs-natural-iso"]["checked"] == 1 + 4 * 2
+        assert report.passed and report.stages["pocket-group"]["classes"] == 8
 
     @pytest.mark.parametrize(
-        "fake, equal_defect",
+        "fake, surjective",
         [
-            (lambda h, act, g: act.group.zero(), True),  # not injective
-            (lambda h, act, g: g.twists[-1], False),  # not a function of alt(t)
+            (lambda h, act, g: act.group.zero(), False),  # constant
+            (lambda h, act, g: g.twists[-1], True),  # not a function of alt(t)
         ],
     )
-    def test_defect_stage_witness(self, monkeypatch, fake, equal_defect):
+    def test_defect_stage_witness(self, monkeypatch, fake, surjective):
         h = standard(Z4, range(3), 2)
         group, act = extract(h, (0, 1))
         monkeypatch.setattr(polyhom.hurewicz, "epsilon", fake)
-        stage = verdict(h).stages["defect-vs-natural-iso"]
-        assert not stage["passed"]
-        witness = stage["witness"]
-        assert witness["equal_defect"] is equal_defect
-        assert witness["certificate"] is not equal_defect
-        g1, g2 = (
-            simplex_datum(h, group, (0, 1, 2), twists=[group.element(c) for c in t])
-            for t in witness["twists"]
-        )
-        assert (fake(h, act, g1) == fake(h, act, g2)) is witness["equal_defect"]
-        assert (natural_iso(group, g1, g2) is not None) is witness["certificate"]
+        report = verdict(h)
+        stage = report.stages["defect-vs-natural-iso"]
+        assert not stage["passed"] and not report.passed
+        assert stage["checked"] == 1 + 3
+        assert report.stages["twist-surjectivity"]["passed"] is surjective
+        _recheck_identity_witness(h, group, act, fake, stage["witness"])
 
     def test_epsilon_once_per_face_key(self, monkeypatch):
         # stage 2 checks the one 4-subset at zero twists (4 co-faces);
-        # stage 3 needs 4^3 calls, stage 4 needs 1 + 4 per 3-subset and
-        # stage 5 one per pair of its 4 class representatives
+        # stage 3 evaluates 1 + 3 twists, stage 4 needs 1 + 4 per
+        # 3-subset and stage 5 reads stage 3's values
         real = polyhom.hurewicz.epsilon
         calls = []
 
@@ -394,7 +459,26 @@ class TestVerdict:
         report = verdict(standard(Z4, range(4), 2))
         assert report.passed
         assert report.stages["boundary-vanishing"]["checked"] == 1
-        assert len(calls) == 4 + 4**3 + 4 * (1 + 4) + 4**2
+        assert len(calls) == 4 + (1 + 3) + 4 * (1 + 4)
+
+    def test_z64_work_count(self, monkeypatch):
+        # stage 2: 4 co-faces; stage 3: the zero twist and 3 unit twists;
+        # stage 4: 1 + 64 calls per 3-subset
+        real = polyhom.hurewicz.epsilon
+        calls = 0
+
+        def counting(h, act, g):
+            nonlocal calls
+            calls += 1
+            return real(h, act, g)
+
+        monkeypatch.setattr(polyhom.hurewicz, "epsilon", counting)
+        z64 = abelian_group(64)
+        report = verdict(scramble(standard(z64, range(4), 2), 5))
+        assert report.passed
+        assert iso_check(report.pocket_group, z64)
+        assert report.stages["pocket-group"]["classes"] == 64
+        assert calls <= 4 + 4 + 4 * 65
 
     def test_constant_defect_gives_trivial_pocket_group(self, monkeypatch):
         h = standard(Z4, range(4), 2)
@@ -406,8 +490,10 @@ class TestVerdict:
 
     def test_non_additive_defect_fails_pocket_group(self, monkeypatch):
         # eps = sigma(alt(t)) with sigma swapping 1 and 2: a bijection of
-        # Z/4 that is a function of alt(t), so stages 2-4 pass, but it is
-        # not a homomorphism
+        # Z/4 that is a function of alt(t) but not a homomorphism.  The
+        # identity check of stage 3 catches it at the first unit twist;
+        # stages 2 and 4 pass, and stage 5 only presents the span of the
+        # stage-3 differences, which is all of Z/4
         h = standard(Z4, range(4), 2)
         swap = {0: 0, 1: 2, 2: 1, 3: 3}
 
@@ -416,17 +502,29 @@ class TestVerdict:
 
         monkeypatch.setattr(polyhom.hurewicz, "epsilon", fake)
         report = verdict(h)
-        assert all(report.stages[k]["passed"] for k in ("boundary-vanishing", "defect-vs-natural-iso", "twist-surjectivity"))
-        stage = report.stages["pocket-group"]
-        assert not stage["passed"] and report.pocket_group is None and not report.isomorphic
+        assert all(report.stages[k]["passed"] for k in ("boundary-vanishing", "twist-surjectivity", "pocket-group"))
+        stage = report.stages["defect-vs-natural-iso"]
+        assert not stage["passed"] and not report.passed
+        assert stage["witness"] == {"twists": [[1], [0], [0]], "defect": [2], "expected": [3]}
         group, act = extract(h, base_config(h))
-        r, s = ([group.element(c) for c in t] for t in stage["witness"]["twists"])
-        base = stage["witness"]["vertices"]
+        _recheck_identity_witness(h, group, act, fake, stage["witness"])
 
-        def defect(t):
-            return group.sub(fake(h, act, simplex_datum(h, group, base, twists=t)), fake(h, act, simplex_datum(h, group, base)))
+    def test_extract_failure_is_structured(self):
+        h = from_json('{"arity":2,"vertices":[0,1,2],"fibers":{},"pi":{},"Q":[]}')
+        report = verdict(h)
+        assert report.stages == {
+            "extract": {"passed": False, "witness": {"stage": "base-fiber", "witness": {"reason": "no top-sort fiber"}}}
+        }
+        assert not report.passed
 
-        assert defect([group.add(x, y) for x, y in zip(r, s)]) != group.add(defect(r), defect(s))
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_matches_pass_over_every_vector(self, name):
+        h = DIFFERENTIAL[name]()
+        report = verdict(h)
+        defect_passed, pocket = _parent_stages_3_5(h)
+        assert report.stages["defect-vs-natural-iso"]["passed"] is defect_passed is True
+        assert report.stages["pocket-group"] == {"passed": True, "classes": pocket.order()}
+        assert report.pocket_group.invariant_factors == pocket.invariant_factors
 
     def test_report_json_shape(self):
         report = verdict(standard(Z2, range(3), 2))

@@ -9,7 +9,7 @@ from polyhom.binding import extract, verify_action
 from polyhom.cli import main
 from polyhom.faults import drop_q_tuple
 from polyhom.hurewicz import verdict
-from polyhom.polygroupoid import induced_automorphism, scramble, standard
+from polyhom.polygroupoid import scramble, standard
 from polyhom.tower import (
     check_thread_action,
     check_tower,
@@ -43,15 +43,6 @@ def test_arity3_tower_pipeline():
     limit, _ = inverse_limit(gt)
     assert iso_check(limit, abelian_group(4))
     assert check_thread_action(pt, acts, (0, 1, 2)).passed
-
-
-def test_induced_automorphism_deterministic():
-    h = scramble(standard(abelian_group(4), range(4), 2), 8)
-    sigma = {0: 3, 1: 2, 2: 1, 3: 0}
-    first = induced_automorphism(h, sigma)
-    second = induced_automorphism(h, sigma)
-    assert first.cover is not None
-    assert first.cover.elem_map == second.cover.elem_map
 
 
 def test_homology_empty_chain_group():

@@ -19,10 +19,8 @@ from polyhom.polygroupoid import (
     check_associativity,
     check_axioms,
     check_horn_filling,
-    check_induced_coherence,
     count_horn_fillers,
     from_json,
-    induced_automorphism,
     is_compatible,
     is_partially_compatible,
     polygroupoid,
@@ -35,38 +33,6 @@ Z2 = abelian_group(2)
 Z3 = abelian_group(3)
 Z4 = abelian_group(4)
 TRIVIAL = FinAbelianGroup()
-
-
-def perm_sign(seq):
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
-def assert_valid_cover(h, sigma, cover):
-    """From-scratch verification that a map is a structure cover."""
-    for v in h.vertices:
-        assert cover.vertex_map[v] == sigma[v]
-    for config, elems in h.fibers.items():
-        images = [cover.elem_map[w] for w in elems]
-        target = tuple(sorted(sigma[v] for v in config))
-        assert sorted(images) == sorted(h.fiber(target))
-        for w in elems:
-            mapped = tuple(cover.apply(x) for x in h.pi[w])
-            assert sorted(mapped) == sorted(h.pi[cover.elem_map[w]])
-    image_q = set()
-    for tup in h.q:
-        union = sorted({v for w in tup for v in h.config_of[w]})
-        image_union = sorted(sigma[v] for v in union)
-        out = [None] * len(tup)
-        for j, w in enumerate(tup):
-            out[image_union.index(sigma[union[j]])] = cover.elem_map[w]
-        image_q.add(tuple(out))
-    assert image_q == set(h.q)
 
 
 class TestCompatibility:
@@ -686,66 +652,3 @@ class TestNontrivialLowerFibers:
         rebuilt = polygroupoid(3, h.vertices, fibers, pi, h.q)
         assert check_axioms(rebuilt).passed
 
-
-class TestInducedAutomorphism:
-    def test_identity(self):
-        h = standard(Z4, range(4), 2)
-        res = induced_automorphism(h, {v: v for v in h.vertices})
-        assert res.cover is not None and res.cover.is_identity()
-
-    def test_transposition_cover_found(self):
-        h = standard(Z4, range(4), 2)
-        sigma = {0: 1, 1: 0, 2: 2, 3: 3}
-        res = induced_automorphism(h, sigma)
-        assert res.cover is not None
-        assert_valid_cover(h, sigma, res.cover)
-
-    def test_sign_corrected_cover_is_valid(self):
-        # oracle: the coordinate map with the sign of the induced
-        # support permutation is itself a cover
-        group = Z4
-        h, coords = standard_with_coordinates(group, range(4), 2)
-        sigma = {0: 1, 1: 0, 2: 2, 3: 3}
-        elem_map = {}
-        for config in h.fibers:
-            image = tuple(sorted(sigma[v] for v in config))
-            positions = [sorted(sigma[v] for v in config).index(sigma[v]) for v in config]
-            sign = perm_sign(positions)
-            for w in h.fiber(config):
-                target_coords = coords[w] if sign == 1 else group.neg(coords[w])
-                elem_map[w] = next(
-                    x for x in h.fiber(image) if coords[x] == target_coords
-                )
-        from polyhom.polygroupoid import InducedMap
-
-        assert_valid_cover(h, sigma, InducedMap(sigma, elem_map))
-
-    def test_compatibility_invariance(self):
-        h = standard(Z2, range(4), 3)
-        sigma = {0: 2, 1: 1, 2: 0, 3: 3}
-        res = induced_automorphism(h, sigma)
-        assert res.cover is not None
-        for tup in h.q:
-            imgs = [res.cover.elem_map[w] for w in tup]
-            union = sorted({v for w in imgs for v in h.config_of[w]})
-            by_config = {h.config_of[w]: w for w in imgs}
-            reordered = tuple(
-                by_config[tuple(v for v in union if v != union[j])]
-                for j in range(len(union))
-            )
-            assert is_compatible(h, reordered)
-
-    def test_planted_asymmetry_obstructed(self):
-        h = drop_q_tuple(standard(Z2, range(4), 2), union=(0, 1, 2))
-        sigma = {0: 0, 1: 1, 2: 3, 3: 2}  # moves {0,1,2} to {0,1,3}
-        res = induced_automorphism(h, sigma)
-        assert res.cover is None
-        assert res.obstruction is not None
-
-    def test_coherence_on_standard(self):
-        h = standard(Z2, range(3), 2)
-        swap = {0: 1, 1: 0, 2: 2}
-        cycle = {0: 1, 1: 2, 2: 0}
-        report = check_induced_coherence(h, [swap, cycle])
-        assert report.passed
-        assert report.checks[0].witness["subgroup_order"] == 6

@@ -94,7 +94,8 @@ def _epsilon_raising(h, act, g):
 
 def _epsilon_zero_then_raising(h, act, g):
     """Zero while the first twist is zero, an EpsilonError after: the
-    defect stage collides before the pass fails."""
+    defect stage evaluates the zero twist, then raises at its first unit
+    twist, and the pocket-group stage reports the same error."""
     if g.twists[0] != act.group.zero():
         raise EpsilonError("no unique horn filler", {"horn": [], "fillers": 0})
     return act.group.zero()
@@ -189,10 +190,10 @@ PINNED = {
     "duplicate_horn/horn-filling": (["horn-filling-count"], "70f1dcd04e9c9762"),
     "duplicate_horn/verify_action": (["q-action-law"], "542f99652a2abb36"),
     "empty-union/verify_action": (["q-action-law"], "f806a0ed13f10148"),
-    "epsilon-last-twist/verdict": (["defect-vs-natural-iso"], "e040401b82b20d86"),
+    "epsilon-last-twist/verdict": (["defect-vs-natural-iso"], "2a853f4d81c3876a"),
     "epsilon-raising/verdict": (["boundary-vanishing", "defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "eb64f3f7a703c03b"),
-    "epsilon-zero-then-raising/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "a80918ea916f3d96"),
-    "epsilon-zero/verdict": (["defect-vs-natural-iso", "twist-surjectivity"], "57172b2909e03458"),
+    "epsilon-zero-then-raising/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "fd9022bf3766d1dd"),
+    "epsilon-zero/verdict": (["defect-vs-natural-iso", "twist-surjectivity"], "7083824eb8dda815"),
     "escaping-action/thread-action": (["thread-action-closure", "thread-action-regular-transitive"], "714c47a365027556"),
     "missing-hom/tower": (["hom-typing", "surjectivity", "functoriality"], "dbcea50201d83e1f"),
     "missing-rho/tower": (["rho-fiber-surjections"], "2905f52ddd99f9bb"),
@@ -207,7 +208,7 @@ PINNED = {
     "rho-not-fiber-preserving/tower": (["rho-fiber-surjections"], "11e8580b15600ceb"),
     "rho-not-surjective/tower": (["rho-fiber-surjections"], "ffb85322fad6802b"),
     "shift_q/associativity": (["associativity@0,1,2,3"], "51aa461c53cb5265"),
-    "shift_q/verdict": (["boundary-vanishing"], "b157f267d98abe12"),
+    "shift_q/verdict": (["boundary-vanishing"], "678d4e1ffddc716a"),
     "tamper_action/verify_action": (["action-validity", "q-action-law"], "0c81e62d27dc6a31"),
     "tamper_rho/tower": (["rho-functoriality", "q-coherence"], "0fbab3e41c5c863e"),
 }
