@@ -1,26 +1,30 @@
 """Recover the abelian binding group and its regular fiber action from
 the Q-relation alone, and verify the action laws.
 
-The construction only ever looks at which horns fill to which elements,
-so it works identically on scrambled instances.  Flipping one auxiliary
+`extract` only ever looks at which horns fill to which elements, so it
+works identically on scrambled instances.  Flipping one auxiliary
 element u to u' inside the filled horns through u moves the base fiber
 by a permutation; the permutations for every u' in u's fiber are the
 candidate group, composed through their images of one base point.  The
 action then spreads to every other fiber through shared Q-tuples, with
 the sign -(-1)^(l - l') attached when moving from face slot l to face
 slot l', which is exactly what keeps the alternating action law
-coherent across slots.  That proposal reads one horn per entry and is
-returned only when `verify_action` certifies it.
+coherent across slots.  That reading costs one horn lookup per table
+entry.  Inputs that merely parse as quasigroupoids can break it; it
+then raises `ExtractionError` with the stage and a witness rather than
+crashing.
 
-Inputs that break the law take the pair-transport path instead: ordered
+The table is the binding group's action only when `verify_action`
+certifies it, and `extract` does not run that certificate: the callers
+that report a group run it once each.  On an input that breaks the
+action law `extract` can return a table that fails it.
+
+`transport_classes` builds the same group independently, and nothing in
+the library calls it; the tests compare `extract` with it.  Ordered
 pairs (x, x') and (y, y') of the base fiber are identified whenever
 flipping the same u to the same u' in some filled horn transports x to
-x' and y to y'.  The classes of that closure must compose by the
-difference law [(w,w')] + [(w',w'')] = [(w,w'')]; when they do they
-form an abelian group acting regularly on the fiber, spread as above
-with every shared Q-tuple checked for agreement.  Inputs that merely
-parse as quasigroupoids can and do violate these steps, and the
-violation is reported with the offending pairs rather than crashing.
+x' and y to y'; on a polygroupoid the classes are the graphs of the
+group's elements.
 """
 
 from __future__ import annotations
@@ -182,26 +186,6 @@ def transport_classes(h: Polygroupoid, z) -> TransportClass:
     return TransportClass(fiber, tuple(frozenset(g) for g in uf.groups()))
 
 
-def _class_permutations(tc: TransportClass):
-    """Each class must be the graph of a permutation of the fiber."""
-    perms = []
-    for idx, cls in enumerate(tc.classes):
-        out = {}
-        for x, y in sorted(cls):
-            if x in out:
-                raise ExtractionError(
-                    "regularity",
-                    {"class": idx, "pairs": [[x, out[x]], [x, y]]},
-                )
-            out[x] = y
-        if len(out) != len(tc.fiber) or len(set(out.values())) != len(tc.fiber):
-            raise ExtractionError(
-                "regularity", {"class": idx, "pairs": [list(p) for p in sorted(cls)]}
-            )
-        perms.append(out)
-    return perms
-
-
 def base_config(h: Polygroupoid):
     """The first top-sort configuration, where extraction starts."""
     if not h.top_configs:
@@ -210,148 +194,101 @@ def base_config(h: Polygroupoid):
 
 
 def extract(h: Polygroupoid, z):
-    """Binding group and full action table from the Q-relation.
-
-    The certified path reads a proposal in one flip (see
-    `_proposed_action`): |G|^n horn lookups for the base permutations,
-    the addition table from where they take fiber[0], and each new
-    fiber's rows from one Q-tuple per element.  It is returned when
-    `verify_action` passes it.  Otherwise the pair-transport path runs:
-    `transport_classes`, one permutation per class, the full
-    composition table and propagation through every shared Q-tuple.
-
-    Both paths return the same result whenever the certificate passes.
-    Write A for the certified table.  A is regular and additive and
-    obeys the Q-law, and every Q-tuple over U has slot i over U minus
-    its i-th vertex (the proposal is only read when that holds).  Then:
-    - every horn over a subset that holds Q-tuples has exactly one
-      filler: a filler completes a Q-tuple over the same subset, so it
-      is g.x for one g, and the law fixes g.  So `_transport_buckets`
-      never raises;
-    - each bucket (v, u, u2) is the graph of x -> c.x with c = +-d and
-      d the difference of u and u2 under A, over the whole base fiber;
-      that is one of the proposal's permutations.  The proposal's own
-      buckets reach every c != 0 and the diagonal is seeded, so the
-      union-find classes are the graphs of the group elements, ordered
-      by their smallest member (fiber[0], fiber[k]).  Class k is
-      permutation k, so regularity passes;
-    - additivity makes `compose` consistent and abelian, so
-      `group_from_addition` gets the same table with the same zero and
-      returns the same group and coordinates;
-    - the law makes every propagation filler g.y under A, so the full
-      propagation writes A's rows in the same face order, with no
-      conflict and no incomplete orbit.
-    So the pair-transport path would return (group, A).
-
-    Raises ExtractionError when the pair-transport path finds the
-    difference law not well defined or the class action not regular
-    and transitive, which signals that the input is not a genuine
-    polygroupoid.  An input that breaks the action law can still come
-    back with a group from the pair-transport path; callers check the
-    law with `action_law_witness`.
-    """
-    z = tuple(z)
-    try:
-        proposed = _proposed_action(h, z)
-    except ValueError:  # group_from_addition or the propagation refused it
-        proposed = None
-    if proposed is not None and verify_action(h, proposed[1]).passed:
-        return proposed
-    tc = transport_classes(h, z)
-    perms = _class_permutations(tc)
-    fiber = tc.fiber
-
-    index_of = {}
-    for i, cls in enumerate(tc.classes):
-        for pair in cls:
-            index_of[pair] = i
-
-    def compose(a, b):
-        x0 = fiber[0]
-        target = index_of[(x0, perms[b][perms[a][x0]])]
-        for x in fiber:
-            seen = index_of[(x, perms[b][perms[a][x]])]
-            if seen != target:
-                raise ExtractionError(
-                    "difference-law",
-                    {
-                        "first": [x0, perms[a][x0], perms[b][perms[a][x0]]],
-                        "second": [x, perms[a][x], perms[b][perms[a][x]]],
-                    },
-                )
-        return target
-
-    table = {}
-    for a in range(len(tc.classes)):
-        for b in range(len(tc.classes)):
-            table[(a, b)] = compose(a, b)
-            if (b, a) in table and table[(b, a)] != table[(a, b)]:
-                raise ExtractionError("abelian", {"classes": [a, b]})
-
-    diag = tc.diagonal_index
-    try:
-        group, to_coords, from_coords = group_from_addition(
-            range(len(tc.classes)), lambda a, b: table[(a, b)], diag
-        )
-    except ValueError as exc:
-        raise ExtractionError("group-structure", {"reason": str(exc)}) from exc
-    return _spread(h, z, group, to_coords, perms, every_tuple=True)
-
-
-def _proposed_action(h: Polygroupoid, z):
-    """Group and action read from one flip; None or a ValueError where
-    that reading fails.  Only `verify_action` makes it the binding
-    group's.
+    """Binding group and full action table from the Q-relation, read
+    from one flip.
 
     Let v be the first vertex outside z, big = z + v, l the slot of v,
     j the first other slot and u slot j of the first Q-tuple over big.
-    Each u2 in u's fiber gives a permutation of the base fiber: flip
-    slot j of the Q-tuples through u to u2 and take the filler at slot
-    l.  Permutation k is the one taking fiber[0] to fiber[k], which is
-    the class order of `transport_classes`.
+    Each u2 in u's fiber gives a flip of the base fiber: replace slot j
+    of the Q-tuples through u by u2 and take the filler at slot l.
+    Flip k is the one taking fiber[0] to fiber[k], and a + b is where
+    flip b takes fiber[a]; `group_from_addition` presents that table.
+    The action then spreads to every other top fiber (see `_spread`).
+    That is |G|^n horn lookups for the flips and one Q-tuple per
+    element of each new fiber.
+
+    The result is the binding group's action exactly when
+    `verify_action` passes it, which this function does not check; on
+    an input that breaks the action law it can return a table that
+    fails the certificate.
+
+    Raises ExtractionError where the reading fails:
+    - base-fiber: the fiber over z is empty, or no Q-tuple sits over
+      z and v;
+    - q-shape: the Q-tuples over some vertex set are not over n + 1
+      vertices with slot i over the set minus its i-th vertex;
+    - horn-uniqueness {"horn", "slot"}: a flipped horn has two or more
+      fillers;
+    - propagation {"config", "horn"}: a flipped horn has no filler, and
+      the propagation witnesses of `_spread`;
+    - regularity: a flip is not a permutation of the base fiber
+      {"flip", "pairs"}, or the flips do not take fiber[0] to each
+      element once {"from", "element", "images"};
+    - abelian {"flips", "element", "images"}: flip b after flip a and
+      flip a after flip b take fiber[0] to different images;
+    - group-structure: `group_from_addition` refuses the table.
     """
+    z = tuple(z)
     fiber = h.fiber(z)
-    v = next((v for v in h.vertices if v not in z), None)
-    if not fiber or v is None or not _shaped(h):
-        return None
-    big = tuple(sorted(z + (v,)))
+    if not fiber:
+        raise ExtractionError("base-fiber", {"config": list(z), "reason": "empty fiber"})
+    misplaced = _misplaced(h)
+    if misplaced is not None:
+        raise ExtractionError("q-shape", {"union": list(misplaced)})
+    big = next((tuple(sorted(z + (v,))) for v in h.vertices if v not in z), None)
     tuples = h.q_by_union.get(big)
     if not tuples:
-        return None
-    ell = big.index(v)
+        raise ExtractionError("base-fiber", {"config": list(z), "reason": "no Q-tuple to flip"})
+    ell = next(i for i, v in enumerate(big) if v not in z)
     j = 1 if ell == 0 else 0
     u = tuples[0][j]
     through = [t for t in tuples if t[j] == u]
-    perms = []
+    flips = {}
     for u2 in h.fiber(h.config_of[u]):
-        perm = {}
+        perm = flips[u2] = {}
         for t in through:
             flipped = t[:j] + (u2,) + t[j + 1 :]
-            fillers = h.fillers.get((ell, flipped[:ell] + flipped[ell + 1 :]), ())
-            if len(fillers) != 1 or perm.setdefault(t[ell], fillers[0]) != fillers[0]:
-                return None
+            horn = flipped[:ell] + flipped[ell + 1 :]
+            fillers = h.fillers.get((ell, horn), ())
+            if len(fillers) > 1:
+                raise ExtractionError("horn-uniqueness", {"horn": list(horn), "slot": ell + 1})
+            if not fillers:
+                raise ExtractionError("propagation", {"config": list(z), "horn": list(horn)})
+            x, y = t[ell], fillers[0]
+            if perm.setdefault(x, y) != y:
+                raise ExtractionError("regularity", {"flip": [u, u2], "pairs": [[x, perm[x]], [x, y]]})
         if tuple(sorted(perm)) != fiber or tuple(sorted(perm.values())) != fiber:
-            return None
-        perms.append(perm)
+            raise ExtractionError("regularity", {"flip": [u, u2], "pairs": sorted(map(list, perm.items()))})
+    images = {u2: perm[fiber[0]] for u2, perm in flips.items()}
+    if tuple(sorted(images.values())) != fiber:
+        raise ExtractionError("regularity", {"from": u, "element": fiber[0], "images": images})
     pos = {x: i for i, x in enumerate(fiber)}
-    perms.sort(key=lambda perm: pos[perm[fiber[0]]])
-    if tuple(perm[fiber[0]] for perm in perms) != fiber:
-        return None
+    order = sorted(flips, key=lambda u2: pos[images[u2]])
+    perms = [flips[u2] for u2 in order]
     # perms[a] takes fiber[0] to fiber[a], so a + b is where perms[b]
     # takes fiber[a].
     table = [[pos[perm[x]] for perm in perms] for x in fiber]
-    group, to_coords, _ = group_from_addition(range(len(fiber)), lambda a, b: table[a][b], 0)
-    return _spread(h, z, group, to_coords, perms, every_tuple=False)
+    for a, b in itertools.combinations(range(len(fiber)), 2):
+        if table[a][b] != table[b][a]:
+            witness = {
+                "flips": [[u, order[a]], [u, order[b]]],
+                "element": fiber[0],
+                "images": [fiber[table[a][b]], fiber[table[b][a]]],
+            }
+            raise ExtractionError("abelian", witness)
+    try:
+        group, to_coords, _ = group_from_addition(range(len(fiber)), lambda a, b: table[a][b], 0)
+    except ValueError as exc:
+        raise ExtractionError("group-structure", {"reason": str(exc)}) from exc
+    return _spread(h, z, group, to_coords, perms)
 
 
-def _spread(h: Polygroupoid, z, group, to_coords, perms, every_tuple):
+def _spread(h: Polygroupoid, z, group, to_coords, perms):
     """Action on the fiber over z, g = to_coords[i] acting as perms[i],
     spread to every other top fiber through shared Q-tuples.
 
-    Each new fiber's rows are read from every Q-tuple over the
-    connecting subset, which must agree, or with every_tuple false from
-    the first Q-tuple through each element, for a table that is
-    certified afterwards.
+    Each new fiber's rows are read from the first Q-tuple through each
+    element over the connecting subset.
     """
     n = h.arity
     action = {z: {x: {to_coords[i].coords: perm[x] for i, perm in enumerate(perms)} for x in h.fiber(z)}}
@@ -382,13 +319,9 @@ def _spread(h: Polygroupoid, z, group, to_coords, perms, every_tuple):
                 src = faces[ell]
                 new_table = {w: {} for w in h.fiber(face)}
                 sign = -1 if (ell - ell2) % 2 == 0 else 1
-                tuples = h.q_by_union[big]
-                if not every_tuple:
-                    tuples = {tup[ell2]: tup for tup in reversed(tuples)}.values()
-                for tup in tuples:
+                for tup in {tup[ell2]: tup for tup in reversed(h.q_by_union[big])}.values():
                     orbit = action[src][tup[ell]]
-                    y = tup[ell2]
-                    row = new_table[y]
+                    row = new_table[tup[ell2]]
                     for g, twisted in twists[sign]:
                         flipped = tup[:ell] + (orbit[twisted],) + tup[ell + 1 :]
                         rest = flipped[:ell2] + flipped[ell2 + 1 :]
@@ -397,17 +330,6 @@ def _spread(h: Polygroupoid, z, group, to_coords, perms, every_tuple):
                             raise ExtractionError(
                                 "propagation",
                                 {"config": list(face), "horn": list(rest)},
-                            )
-                        prev = row.get(g)
-                        if prev is not None and prev != fillers[0]:
-                            raise ExtractionError(
-                                "propagation",
-                                {
-                                    "config": list(face),
-                                    "element": y,
-                                    "gamma": list(g),
-                                    "images": [prev, fillers[0]],
-                                },
                             )
                         row[g] = fillers[0]
                 for w, tbl in new_table.items():
@@ -511,24 +433,29 @@ def verify_action(h: Polygroupoid, act: ActionTable) -> AxiomReport:
 
     validity = first_failure("action-validity", invalid())
     regularity = first_failure("regular-transitive", irregular())
-    if validity.passed and regularity.passed and _shaped(h):
+    if validity.passed and regularity.passed and _misplaced(h) is None:
         law = _q_law_from_base_tuples(h, act, elements)
     else:
         law = _q_law_exhaustive(h, act)
     return AxiomReport((validity, regularity, first_failure("q-action-law", law)))
 
 
-def _shaped(h: Polygroupoid):
-    """Whether every Q-tuple sits over n + 1 vertices U with slot i in
-    the fiber over U minus its i-th vertex."""
+def _misplaced(h: Polygroupoid):
+    """The first vertex set U whose Q-tuples do not all sit over n + 1
+    vertices with slot i in the fiber over U minus its i-th vertex, or
+    None."""
     config_of = h.config_of.__getitem__
-    return all(
-        len(union) == h.arity + 1
-        and all(
-            set(map(config_of, column)) == {union[:i] + union[i + 1 :]}
-            for i, column in enumerate(zip(*tuples))
-        )
-        for union, tuples in h.q_by_union.items()
+    return next(
+        (
+            union
+            for union, tuples in h.q_by_union.items()
+            if len(union) != h.arity + 1
+            or any(
+                set(map(config_of, column)) != {union[:i] + union[i + 1 :]}
+                for i, column in enumerate(zip(*tuples))
+            )
+        ),
+        None,
     )
 
 

@@ -251,11 +251,18 @@ def cmd_tower_limit(args):
         report = pre.to_json_dict()
         _emit(args, {"command": "tower-limit", "precondition": report}, _report_lines(report))
         return 1
+    acts = {}
     try:
-        acts = {
-            u: extract(tower.nodes[u], base_config(tower.nodes[u]))[1]
-            for u in tower.poset.nodes
-        }
+        for u in tower.poset.nodes:
+            h = tower.nodes[u]
+            acts[u] = extract(h, base_config(h))[1]
+            witness = action_law_witness(h, acts[u])
+            if witness is not None:
+                payload = {
+                    "command": "tower-limit", "passed": False, "stage": "action-law", "node": u, "witness": witness
+                }
+                _emit(args, payload, [f"FAIL extraction at action-law on node {u}", json.dumps(witness)])
+                return 1
         gt = group_tower_from_poly(tower, acts)
         limit, projections = inverse_limit(gt)
     except (ExtractionError, TowerError) as exc:

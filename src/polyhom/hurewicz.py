@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from .algebra import FinAbelianGroup, GroupElement, group_from_addition, iso_check
 from .binding import ActionTable, ExtractionError, action_law_witness, base_config, extract
-from .polygroupoid import Polygroupoid, _config_key
+from .polygroupoid import Polygroupoid, _config_key, _row_cells
 
 
 class EpsilonError(ValueError):
@@ -184,20 +184,14 @@ def epsilon_chain(h, act, terms) -> GroupElement:
     return acc
 
 
-def _co_face_pairs(n2, j):
-    """The position pairs read by co-face j of an n2-vertex datum, by
-    face: face k reads the pair {j, m} with m = k for k < j, else k+1."""
-    return [(min(j, m), max(j, m)) for m in range(n2) if m != j]
-
-
 def co_face(g: CoSimplexDatum, j: int) -> SimplexDatum:
     """Face j of an (n+2)-vertex datum: drop the j-th vertex; its faces
-    and twists are read from the pairs given by `_co_face_pairs`."""
+    and twists are read from the pairs of grid row j (`_row_cells`)."""
     n2 = len(g.vertices)
     if not 0 <= j < n2:
         raise ValueError("face index out of range")
     vertices = tuple(v for i, v in enumerate(g.vertices) if i != j)
-    read = [g.pairs[p] for p in _co_face_pairs(n2, j)]
+    read = [g.pairs[p] for p in _row_cells(n2 - 2, j)]
     return SimplexDatum(vertices, tuple(f for f, _ in read), tuple(t for _, t in read))
 
 

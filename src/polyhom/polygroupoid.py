@@ -474,10 +474,10 @@ def _decided_by_first_leaf(h: Polygroupoid):
             if faces != [(x,) if isinstance(x, int) else config_of.get(x) for x in h.pi[w]]:
                 return False
     try:
-        proposed = binding._proposed_action(h, binding.base_config(h))
-    except ValueError:
+        _, act = binding.extract(h, binding.base_config(h))
+    except binding.ExtractionError:
         return False
-    return proposed is not None and binding.verify_action(h, proposed[1]).passed
+    return binding.verify_action(h, act).passed
 
 
 def check_all_associativity(h: Polygroupoid) -> AxiomReport:
@@ -488,8 +488,8 @@ def check_all_associativity(h: Polygroupoid) -> AxiomReport:
     Q, and fails with that leaf as the witness otherwise.  The premise,
     checked once per call: every fiber below the top sort is a
     singleton, every pi entry of a top-sort element sits over the
-    matching face, and the one-flip proposal of `binding.extract` on
-    the base configuration passes `verify_action`.
+    matching face, and the table `binding.extract` reads on the base
+    configuration passes `verify_action`.
 
     Under it the scan over every deleted row reports exactly that.  All
     pairwise compatibility tests compare two elements of the same

@@ -10,7 +10,7 @@ from polyhom.algebra import FinAbelianGroup, abelian_group, group_from_addition,
 from polyhom.binding import (
     ActionTable,
     ExtractionError,
-    _class_permutations,
+    action_law_witness,
     action_table_from_json_dict,
     extract,
     transport_classes,
@@ -126,11 +126,45 @@ class TestExtract:
         with pytest.raises(ExtractionError):
             extract(h, (0, 1))
 
+    def test_unreadable_inputs_raise_structured_errors(self):
+        h = standard(Z4, range(4), 2)
+        w = h.fiber((0, 1))[0]
+        misplaced = polygroupoid(2, h.vertices, h.fibers, h.pi, h.q | {(w, w, w)})
+        no_flip = polygroupoid(2, h.vertices, h.fibers, h.pi, h.q - set(h.q_by_union[(0, 1, 2)]))
+        for bad, stage, witness in [
+            (misplaced, "q-shape", {"union": [0, 1]}),
+            (no_flip, "base-fiber", {"config": [0, 1], "reason": "no Q-tuple to flip"}),
+        ]:
+            with pytest.raises(ExtractionError) as exc:
+                extract(bad, (0, 1))
+            assert (exc.value.stage, exc.value.witness) == (stage, witness)
+
     def test_dropped_tuple_breaks_extraction(self):
         h = drop_q_tuple(standard(Z2, range(4), 2), union=(0, 1, 2))
         with pytest.raises(ExtractionError) as exc:
             extract(h, (0, 1))
         assert exc.value.stage in {"propagation", "regularity", "difference-law"}
+
+
+def _class_permutations(tc):
+    """Each transport class must be the graph of a permutation of the
+    fiber."""
+    perms = []
+    for idx, cls in enumerate(tc.classes):
+        out = {}
+        for x, y in sorted(cls):
+            if x in out:
+                raise ExtractionError(
+                    "regularity",
+                    {"class": idx, "pairs": [[x, out[x]], [x, y]]},
+                )
+            out[x] = y
+        if len(out) != len(tc.fiber) or len(set(out.values())) != len(tc.fiber):
+            raise ExtractionError(
+                "regularity", {"class": idx, "pairs": [list(p) for p in sorted(cls)]}
+            )
+        perms.append(out)
+    return perms
 
 
 def reference_extract(h, z):
@@ -223,13 +257,32 @@ def reference_extract(h, z):
     return group, ActionTable(group, action)
 
 
-def _replace_union(h, coords, union, slot0):
-    """h with Q over the (n=2) union replaced by the tuples whose slot-0
-    coordinate is slot0(slot-1 coordinate, slot-2 coordinate)."""
+def s3_groupoid(vertices, seed):
+    """The n=2 groupoid with every fiber a copy of S3 and
+    Q(w_bc, w_ac, w_ab) iff w_ac = w_ab.w_bc, scrambled."""
+    s3 = list(itertools.permutations(range(3)))
+
+    def name(config, p):
+        return f"s:{config[0]},{config[1]}:{''.join(map(str, p))}"
+
+    configs = list(itertools.combinations(vertices, 2))
+    fibers = {c: [name(c, p) for p in s3] for c in configs}
+    pi = {name(c, p): (c[1], c[0]) for c in configs for p in s3}
+    q = {
+        (name((b, c), y), name((a, c), tuple(x[i] for i in y)), name((a, b), x))
+        for a, b, c in itertools.combinations(vertices, 3)
+        for x in s3
+        for y in s3
+    }
+    return scramble(polygroupoid(2, vertices, fibers, pi, q), seed)
+
+
+def _replace_union(h, coords, union, law):
+    """h with Q over the (n=2) union replaced by the tuples whose slot
+    coordinates (a, b, c) satisfy law(a, b, c)."""
     fibers = [h.fiber(union[:i] + union[i + 1 :]) for i in range(3)]
-    by_coord = {coords[w].coords[0]: w for w in fibers[0]}
-    value = {w: coords[w].coords[0] for w in fibers[1] + fibers[2]}
-    tuples = {(by_coord[slot0(value[b], value[c])], b, c) for b in fibers[1] for c in fibers[2]}
+    value = {w: coords[w].coords[0] for fiber in fibers for w in fiber}
+    tuples = {t for t in itertools.product(*fibers) if law(*map(value.get, t))}
     return polygroupoid(2, h.vertices, h.fibers, h.pi, (h.q - set(h.q_by_union[union])) | tuples)
 
 
@@ -246,20 +299,37 @@ def _extract_cases():
     h, coords = standard_with_coordinates(Z4, range(5), 2)
     # A Klein-group Latin square over (0, 2, 3): every horn has one
     # filler, but the Z/4 action does not carry over consistently.
-    cases.append(("inconsistent", scramble(_replace_union(h, coords, (0, 2, 3), lambda b, c: b ^ c), 3)))
+    cases.append(("inconsistent", scramble(_replace_union(h, coords, (0, 2, 3), lambda a, b, c: a == b ^ c), 3)))
     # Slot 0 is 2 * slot 1: consistent, but odd elements are never hit.
-    cases.append(("incomplete-orbit", scramble(_replace_union(h, coords, (0, 2, 3), lambda b, c: 2 * b % 4), 4)))
+    cases.append(("incomplete-orbit", scramble(_replace_union(h, coords, (0, 2, 3), lambda a, b, c: a == 2 * b % 4), 4)))
+    # Over the base flip's subset (0, 1, 2): slot 2 equal to slot 0, so a
+    # flip moves one element only; slot 2 off slot 1 by slot 0's parity,
+    # so two flips agree on fiber[0].
+    cases.append(("not-a-permutation", scramble(_replace_union(h, coords, (0, 1, 2), lambda a, b, c: a == c), 3)))
+    cases.append(("two-to-one", scramble(_replace_union(h, coords, (0, 1, 2), lambda a, b, c: c == (b + a % 2) % 4), 3)))
+    # Slot 2 is the product of slots 0 and 1 in a commutative loop that
+    # is not a group: Z/6 with the intercalate on {1, 4} swapped.
+    # Unscrambled, the flips are the loop's rows.
+    h6, coords6 = standard_with_coordinates(abelian_group(6), range(4), 2)
+    loop = lambda a, b, c: c == (a + b + 3 * (a % 3 == b % 3 == 1)) % 6
+    cases.append(("non-associative", _replace_union(h6, coords6, (0, 1, 2), loop)))
     h4 = standard(Z4, range(4), 2)
+    gone = set(h4.fiber((0, 1)))
+    pi = {w: t for w, t in h4.pi.items() if w not in gone}
+    q = {t for t in h4.q if not gone & set(t)}
+    cases.append(("empty-fiber", polygroupoid(2, h4.vertices, {**h4.fibers, (0, 1): ()}, pi, q)))
     cut = h4.q - set(h4.q_by_union[(0, 2, 3)]) - set(h4.q_by_union[(1, 2, 3)])
     cases.append(("unreachable", scramble(polygroupoid(2, h4.vertices, h4.fibers, h4.pi, cut), 5)))
     cases += [
-        # Breaks the action law and still extracts Z/4 by pair transport.
+        # Breaks the action law; extract still reads a Z/4 table.
         ("F1", scramble(drop_q_tuple(h4, union=(1, 2, 3)), 7)),
         ("shift_q-late", scramble(shift_q(standard(Z4, range(5), 2), unions=[(2, 3, 4)]), 8)),
         ("drop_q_tuple-z8", scramble(drop_q_tuple(standard(Z8, range(5), 2), union=(1, 2, 3)), 9)),
         ("z32-v4", scramble(standard(abelian_group(32), range(4), 2), 10)),
         ("n3-z4-v6", scramble(standard(Z4, range(6), 3), 11)),
         ("n4-z2-v6", scramble(standard(Z2, range(6), 4), 12)),
+        # A non-abelian vertex group: the flips do not commute.
+        ("s3", s3_groupoid(range(4), 3)),
     ]
     return [pytest.param(h, id=name) for name, h in cases]
 
@@ -272,16 +342,35 @@ def _outcome(fn, h):
     return group, act.to_json()
 
 
+def assert_matches_reference(h):
+    """Where the reference's table passes verify_action, extract returns
+    the same group and table.  Elsewhere extract raises, or returns a
+    table whose first verify_action failure fails again."""
+    z = h.top_configs[0]
+    try:
+        expected = reference_extract(h, z)
+    except ExtractionError:
+        expected = None
+    if expected is not None and verify_action(h, expected[1]).passed:
+        group, act = extract(h, z)
+        assert (group, act.to_json()) == (expected[0], expected[1].to_json())
+        return
+    try:
+        _, act = extract(h, z)
+    except ExtractionError:
+        return
+    assert action_law_refails(h, act, action_law_witness(h, act))
+
+
 class TestExtractWork:
     @pytest.mark.parametrize("h", _extract_cases())
     def test_matches_reference(self, h):
-        assert _outcome(extract, h) == _outcome(reference_extract, h)
+        assert_matches_reference(h)
 
     def test_cases_reach_every_propagation_witness(self):
         outcomes = {p.id: _outcome(extract, *p.values) for p in _extract_cases()}
         shapes = {
             "no-filler": {"config", "horn"},
-            "inconsistent": {"config", "element", "gamma", "images"},
             "incomplete-orbit": {"config", "element", "reason"},
             "unreachable": {"unreachable"},
         }
@@ -304,27 +393,25 @@ class TestExtractWork:
         if fault is not None:
             union = data.draw(st.sampled_from(sorted(h.q_by_union)))
             h = drop_q_tuple(h, union=union) if fault is drop_q_tuple else shift_q(h, unions=[union])
-        h = scramble(h, seed)
-        assert _outcome(extract, h) == _outcome(reference_extract, h)
+        assert_matches_reference(scramble(h, seed))
 
-    def test_certified_path_skips_pair_transport(self, monkeypatch):
+    def test_never_calls_pair_transport(self, monkeypatch):
         class PairTransport(Exception):
             pass
 
-        def refuse(h, z):
+        def refuse(*args):
             raise PairTransport
 
         monkeypatch.setattr(binding, "transport_classes", refuse)
+        monkeypatch.setattr(binding, "_transport_buckets", refuse)
         for group, size, arity in [
             (abelian_group(16), 5, 2), (abelian_group(4, 4), 5, 2), (abelian_group(12), 5, 2), (Z3, 5, 3)
         ]:
             h = scramble(standard(group, range(size), arity), 2)
             found, act = extract(h, h.top_configs[0])
             assert found == group and verify_action(h, act).passed
-        cases = {p.id: p.values[0] for p in _extract_cases()}
-        for name in ("F1", "inconsistent"):
-            with pytest.raises(PairTransport):
-                extract(cases[name], cases[name].top_configs[0])
+        for p in _extract_cases():
+            _outcome(extract, *p.values)
 
     def test_relation_rows_on_a_generating_set(self, monkeypatch):
         # Z/16: |S| <= log2 16 = 4 generators, so at most 4 * 16 + 1
@@ -502,6 +589,23 @@ def law_witness_refails(h, act, witness):
         and alt_zero == witness["alternating_sum_zero"]
         and (image in h.q) == witness["image_in_q"]
         and alt_zero != (image in h.q)
+    )
+
+
+def action_law_refails(h, act, law):
+    """Re-check the first failed check of verify_action, as
+    `action_law_witness` gives it, from the instance and the table
+    alone: a q-action-law witness, or an action that is not additive."""
+    witness = law["witness"]
+    if law["axiom"] == "q-action-law":
+        return law_witness_refails(h, act, witness)
+    group = act.group
+    g, s = (group.element(c) for c in witness["gammas"])
+    config, w = witness["config"], witness["element"]
+    return (
+        law["axiom"] == "action-validity"
+        and witness["reason"] == "not additive"
+        and act.apply(config, g, act.apply(config, s, w)) != act.apply(config, group.add(g, s), w)
     )
 
 

@@ -5,11 +5,15 @@ import sys
 
 import pytest
 
+from polyhom import binding
 from polyhom.binding import extract
 from polyhom.cli import main
 from polyhom.faults import drop_q_tuple, duplicate_horn, shift_q
-from polyhom.polygroupoid import from_json, polygroupoid, scramble, standard
+from polyhom.hurewicz import verdict
+from polyhom.polygroupoid import check_all_associativity, from_json, polygroupoid, scramble, standard
 from polyhom.algebra import abelian_group
+from polyhom.tower import PolyTower, check_tower, cyclic_chain_tower, poly_tower_to_json_dict
+from test_binding import law_witness_refails
 
 
 def run(capsys, *argv):
@@ -176,6 +180,28 @@ class TestExtractCommand:
         assert image not in h.q
 
 
+    def test_each_caller_certifies_once(self, tmp_path, capsys, monkeypatch):
+        h = scramble(standard(abelian_group(8), range(5), 2), 3)
+        path = tmp_path / "h.json"
+        path.write_text(h.to_json())
+        calls = []
+        certify = binding.verify_action
+
+        def counting(h, act):
+            calls.append(None)
+            return certify(h, act)
+
+        monkeypatch.setattr(binding, "verify_action", counting)
+        for caller in (
+            lambda: run(capsys, "extract", "--in", str(path))[0] == 0,
+            lambda: verdict(h).passed,
+            lambda: check_all_associativity(h).passed,
+        ):
+            calls.clear()
+            assert caller()
+            assert len(calls) == 1
+
+
 class TestHomologyCommand:
     def test_hollow_triangle(self, tmp_path, capsys):
         path = tmp_path / "maps.json"
@@ -206,6 +232,23 @@ class TestTowerCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["group"]["invariant_factors"] == [8]
+
+    def test_limit_checks_each_node_action(self, tmp_path, capsys):
+        pt, _, _ = cyclic_chain_tower([4, 2], range(4), 2)
+        top = drop_q_tuple(pt.nodes["t0"], union=(1, 2, 3))
+        tower = PolyTower(pt.poset, {**pt.nodes, "t0": top}, pt.rho)
+        assert check_tower(tower).passed
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(poly_tower_to_json_dict(tower)))
+        code, out, _ = run(capsys, "tower-limit", "--in", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert {k: payload[k] for k in ("passed", "stage", "node")} == {
+            "passed": False, "stage": "action-law", "node": "t0"
+        }
+        assert payload["witness"]["axiom"] == "q-action-law"
+        _, act = extract(top, top.top_configs[0])
+        assert law_witness_refails(top, act, payload["witness"]["witness"])
 
     def test_bad_chain_exit_two(self, capsys):
         code, _, err = run(capsys, "tower-limit", "--group", "8,3", "--vertices", "4")
