@@ -316,12 +316,6 @@ class FinAbelianGroup:
     def scale(self, k, a):
         return self.element(k * x for x in a.coords)
 
-    def sum(self, elems):
-        acc = self.zero()
-        for e in elems:
-            acc = self.add(acc, e)
-        return acc
-
     def alternating_sum(self, elems):
         """sum of (-1)^k elems[k], zero-based."""
         acc = self.zero()

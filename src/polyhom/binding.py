@@ -226,7 +226,9 @@ def extract(h: Polygroupoid, z):
       element once {"from", "element", "images"};
     - abelian {"flips", "element", "images"}: flip b after flip a and
       flip a after flip b take fiber[0] to different images;
-    - group-structure: `group_from_addition` refuses the table.
+    - group-structure {"flips", "element", "images"}: the table is not
+      associative: flips a, b, c in turn and flips b, c, a in turn
+      take fiber[0] to different images.
     """
     z = tuple(z)
     fiber = h.fiber(z)
@@ -279,7 +281,14 @@ def extract(h: Polygroupoid, z):
     try:
         group, to_coords, _ = group_from_addition(range(len(fiber)), lambda a, b: table[a][b], 0)
     except ValueError as exc:
-        raise ExtractionError("group-structure", {"reason": str(exc)}) from exc
+        # Past the checks above the table is a commutative loop, which is
+        # a group exactly when it is associative.
+        for a, b, c in itertools.product(range(len(fiber)), repeat=3):
+            images = [fiber[table[table[a][b]][c]], fiber[table[table[b][c]][a]]]
+            if images[0] != images[1]:
+                witness = {"flips": [[u, order[k]] for k in (a, b, c)], "element": fiber[0], "images": images}
+                raise ExtractionError("group-structure", witness) from exc
+        raise
     return _spread(h, z, group, to_coords, perms)
 
 

@@ -252,22 +252,23 @@ def cmd_tower_limit(args):
         _emit(args, {"command": "tower-limit", "precondition": report}, _report_lines(report))
         return 1
     acts = {}
-    try:
-        for u in tower.poset.nodes:
-            h = tower.nodes[u]
+    for u in tower.poset.nodes:
+        h = tower.nodes[u]
+        try:
             acts[u] = extract(h, base_config(h))[1]
-            witness = action_law_witness(h, acts[u])
-            if witness is not None:
-                payload = {
-                    "command": "tower-limit", "passed": False, "stage": "action-law", "node": u, "witness": witness
-                }
-                _emit(args, payload, [f"FAIL extraction at action-law on node {u}", json.dumps(witness)])
-                return 1
-        gt = group_tower_from_poly(tower, acts)
-        limit, projections = inverse_limit(gt)
-    except (ExtractionError, TowerError) as exc:
-        payload = {"command": "tower-limit", "passed": False, "error": str(exc)}
-        _emit(args, payload, [f"FAIL {exc}"])
+        except ExtractionError as exc:
+            stage, witness = exc.stage, exc.witness
+        else:
+            stage, witness = "action-law", action_law_witness(h, acts[u])
+        if witness is not None:
+            payload = {"command": "tower-limit", "passed": False, "stage": stage, "node": u, "witness": witness}
+            _emit(args, payload, [f"FAIL extraction at {stage} on node {u}", json.dumps(witness)])
+            return 1
+    try:
+        limit, projections = inverse_limit(group_tower_from_poly(tower, acts))
+    except TowerError as exc:
+        payload = {"command": "tower-limit", "passed": False, "stage": exc.stage, "witness": exc.witness}
+        _emit(args, payload, [f"FAIL at {exc.stage}", json.dumps(exc.witness)])
         return 1
     payload = {
         "command": "tower-limit",

@@ -5,14 +5,14 @@ import sys
 
 import pytest
 
-from polyhom import binding
+from polyhom import binding, cli
 from polyhom.binding import extract
 from polyhom.cli import main
 from polyhom.faults import drop_q_tuple, duplicate_horn, shift_q
 from polyhom.hurewicz import verdict
 from polyhom.polygroupoid import check_all_associativity, from_json, polygroupoid, scramble, standard
 from polyhom.algebra import abelian_group
-from polyhom.tower import PolyTower, check_tower, cyclic_chain_tower, poly_tower_to_json_dict
+from polyhom.tower import PolyTower, TowerError, check_tower, cyclic_chain_tower, poly_tower_to_json_dict
 from test_binding import law_witness_refails
 
 
@@ -249,6 +249,40 @@ class TestTowerCommands:
         assert payload["witness"]["axiom"] == "q-action-law"
         _, act = extract(top, top.top_configs[0])
         assert law_witness_refails(top, act, payload["witness"]["witness"])
+
+    def test_limit_reports_node_extraction_failure(self, tmp_path, capsys):
+        # check_tower passes a node with a doubled horn; extraction on it
+        # fails, and the payload names the stage, the node and a witness
+        # that re-checks from the node alone
+        pt, _, _ = cyclic_chain_tower([4, 2], range(4), 2)
+        node = duplicate_horn(pt.nodes["t1"])
+        tower = PolyTower(pt.poset, {**pt.nodes, "t1": node}, pt.rho)
+        assert check_tower(tower).passed
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(poly_tower_to_json_dict(tower)))
+        code, out, _ = run(capsys, "tower-limit", "--in", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload == {
+            "command": "tower-limit",
+            "passed": False,
+            "stage": "horn-uniqueness",
+            "node": "t1",
+            "witness": {"horn": ["w:1,2:0", "w:0,2:0"], "slot": 3},
+        }
+        horn = tuple(payload["witness"]["horn"])
+        assert len(node.fillers[(payload["witness"]["slot"] - 1, horn)]) >= 2
+
+    def test_limit_reports_tower_error(self, monkeypatch, capsys):
+        def refuse(t):
+            raise TowerError("projection-surjectivity", {"node": "t1"})
+
+        monkeypatch.setattr(cli, "inverse_limit", refuse)
+        code, out, _ = run(capsys, "tower-limit", "--group", "4,2", "--vertices", "4", "--arity", "2")
+        assert code == 1
+        assert json.loads(out) == {
+            "command": "tower-limit", "passed": False, "stage": "projection-surjectivity", "witness": {"node": "t1"}
+        }
 
     def test_bad_chain_exit_two(self, capsys):
         code, _, err = run(capsys, "tower-limit", "--group", "8,3", "--vertices", "4")

@@ -237,10 +237,10 @@ PINNED = {
     "duplicate_horn/verify_action": (["q-action-law"], "542f99652a2abb36"),
     "empty-fiber/extract": (["base-fiber"], "059d442e22ec866a"),
     "empty-union/verify_action": (["q-action-law"], "f806a0ed13f10148"),
-    "epsilon-last-twist/verdict": (["defect-vs-natural-iso"], "2a853f4d81c3876a"),
+    "epsilon-last-twist/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "a822e2aeefd03244"),
     "epsilon-raising/verdict": (["boundary-vanishing", "defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "eb64f3f7a703c03b"),
-    "epsilon-zero-then-raising/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "fd9022bf3766d1dd"),
-    "epsilon-zero/verdict": (["defect-vs-natural-iso", "twist-surjectivity"], "7083824eb8dda815"),
+    "epsilon-zero-then-raising/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "dc137041179395ce"),
+    "epsilon-zero/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "cabb423fb7e849f6"),
     "escaping-action/thread-action": (["thread-action-closure", "thread-action-regular-transitive"], "714c47a365027556"),
     "incomplete-orbit/extract": (["propagation"], "0725c9a70bbc17df"),
     "inconsistent/cli-extract": (["action-law"], "b222898cfb86986c"),
@@ -249,7 +249,7 @@ PINNED = {
     "missing-top-fiber/verify_action": (["action-validity", "q-action-law"], "647783d6f5174d0e"),
     "mistyped-hom/tower": (["hom-typing", "surjectivity", "functoriality"], "7039149efa984928"),
     "no-filler/extract": (["propagation"], "b6c6342078907e08"),
-    "non-associative/extract": (["group-structure"], "44870491d67ac47f"),
+    "non-associative/extract": (["group-structure"], "f0e5316d4e0c0152"),
     "non-regular/thread-action": (["thread-action-regular-transitive"], "1b5e7143c56fd37a"),
     "non-regular/verify_action": (["action-validity", "regular-transitive", "q-action-law"], "be90c61529e4d1d6"),
     "non-surjective-hom/tower": (["surjectivity", "functoriality"], "2c242653991871bd"),
@@ -326,6 +326,16 @@ def _extraction_refails(h, stage, witness):
         x = witness["element"]
         images = [_flip(h, u, b, _flip(h, u, a, x)), _flip(h, u, a, _flip(h, u, b, x))]
         return witness["images"] == images and images[0] != images[1]
+    if stage == "group-structure":
+        # flips a, b, c in turn and flips b, c, a in turn disagree, so
+        # the flips do not compose associatively
+        (u, a), (_, b), (_, c) = witness["flips"]
+        x = witness["element"]
+        images = [
+            _flip(h, u, c, _flip(h, u, b, _flip(h, u, a, x))),
+            _flip(h, u, a, _flip(h, u, c, _flip(h, u, b, x))),
+        ]
+        return witness["images"] == images and images[0] != images[1]
     assert stage == "propagation"
     if "unreachable" in witness:
         return witness["unreachable"] == [list(c) for c in h.top_configs if c not in _reached(h)]
@@ -344,9 +354,7 @@ def _extraction_refails(h, stage, witness):
     )
 
 
-# The group-structure witness of "non-associative" names no element,
-# only group_from_addition's reason, so its pin is all there is.
-@pytest.mark.parametrize("name", [n for n in EXTRACT_FAILURES if n != "non-associative"] + CLI_ACTION_LAW)
+@pytest.mark.parametrize("name", EXTRACT_FAILURES + CLI_ACTION_LAW)
 def test_extraction_witness_refails(name):
     h = _extraction_inputs()[name]
     if name in EXTRACT_FAILURES:
