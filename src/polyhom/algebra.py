@@ -532,77 +532,68 @@ def group_from_addition(elements, add, zero):
     operation; zero: identity element.  Returns (group, to_coords,
     from_coords) with dictionaries in both directions.
 
-    The group is presented on a generating set S, picked greedily in
+    The group is presented by relative orders (a polycyclic
+    presentation).  Generators s_1, ..., s_k are picked greedily in
     element order: an element is picked when it is not in the span of
-    the earlier picks, the span being {zero} closed under x -> x + s for
-    every pick s.  Each pick at least doubles the span, so
-    |S| <= log2 |G|.  The presentation has one generator e_a per element
-    and the relations e_zero = 0 and e_a + e_s = e_{a+s} for every
-    element a and every s in S, at most |S|.|G| + 1 rows.  Its quotient
-    P is G.  Every b is reached from zero by a walk b = s_1 + ... + s_k
-    through the span, and induction on k gives e_a + e_b = e_{a+b} in P
-    for every pair: at k = 0 it is e_zero = 0, and for b = b' + s,
-    e_a + e_b = e_a + e_b' + e_s = e_{a+b'} + e_s = e_{a+b}.  So P is
-    presented by the full addition table, and a -> e_a is a
-    homomorphism from G onto P.  The map e_a -> a kills every relation,
-    so it induces P -> G, which undoes a -> e_a; the two are inverse
-    isomorphisms.  This uses that G is abelian: the full table presents
-    the abelianization.  The coordinates are read off along the walks:
-    to_coords[zero] = 0, each pick is projected from the quotient, and
-    to_coords[x + s] = to_coords[x] + to_coords[s].
+    the earlier picks.  The relative order m_j of s_j is the least m
+    with m.s_j in the span of s_1, ..., s_(j-1), and c_j is the exponent
+    vector of that landing point.  The new span is every x + t.s_j with
+    x in the old span and 0 <= t < m_j, and each element gets the
+    exponents of that normal form.  These sums are distinct, since two
+    equal ones would put a smaller multiple of s_j in the old span, so
+    |G| = prod m_j; and each m_j >= 2, so k <= log2 |G|.  The relations
+    m_j.e_j = sum_i c_ji.e_i form a triangular k x k matrix whose
+    quotient P has order prod m_j = |G|.  They hold in G, so e_j -> s_j
+    induces a map from P onto G, which is an isomorphism by counting.
+    to_coords[x] is the class of x's exponents, which that map sends to
+    x.
 
     Raises ValueError if the table is not an abelian group table with
-    this zero: the quotient must have order |G|, to_coords must be a
-    bijection, and every table entry must satisfy
+    this zero: every pick must land in the span within |G| steps, the
+    quotient must have order |G|, to_coords must be a bijection, and
+    every table entry must satisfy
     to_coords[a] + to_coords[b] = to_coords[add(a, b)].
     """
     elems = list(elements)
-    index = {e: i for i, e in enumerate(elems)}
+    members = set(elems)
     n = len(elems)
-    if zero not in index:
+    if zero not in members:
         raise ValueError("zero is not among the elements")
     table = {}
     for a in elems:
         for b in elems:
             c = table[a, b] = add(a, b)
-            if c not in index:
+            if c not in members:
                 raise ValueError("addition leaves the element set")
-    gens = []
-    span = {zero: None}  # element -> (x, s) with x + s = element, in discovery order
-    for e in elems:
-        if e in span:
+    exponents = {zero: ()}  # element -> exponents over the picks so far
+    rows = []
+    for s in elems:
+        if s in exponents:
             continue
-        gens.append(e)
-        stack = list(span)
-        while stack:
-            x = stack.pop()
-            for s in gens:
-                y = table[x, s]
-                if y not in span:
-                    span[y] = (x, s)
-                    stack.append(y)
-    rows = {tuple(int(i == index[zero]) for i in range(n))}
-    for a in elems:
-        for s in gens:
-            row = [0] * n
-            row[index[a]] += 1
-            row[index[s]] += 1
-            row[index[table[a, s]]] -= 1
-            rows.add(tuple(row))
-    coker = cokernel(IntMatrix.from_rows(sorted(rows), n))
+        y, m = s, 1
+        while y not in exponents:
+            if m == n:
+                raise ValueError("addition table is not a finite abelian group table")
+            y, m = table[y, s], m + 1
+        rows.append([-c for c in exponents[y]] + [m])
+        span = {}
+        for x, v in exponents.items():
+            for t in range(m):
+                span.setdefault(x, v + (t,))
+                x = table[x, s]
+        exponents = span
+    k = len(rows)
+    coker = cokernel(IntMatrix.from_rows([row + [0] * (k - len(row)) for row in rows], k))
     group = coker.group
-    if not group.is_finite() or group.order() != n:
+    if group.order() != n:
         raise ValueError("addition table is not a finite abelian group table")
-    to_coords = {zero: group.zero()}
-    for s in gens:
-        to_coords[s] = coker.project(int(i == index[s]) for i in range(n))
-    for y, step in span.items():
-        if y not in to_coords:
-            to_coords[y] = group.add(to_coords[step[0]], to_coords[step[1]])
+    to_coords = {x: coker.project(v) for x, v in exponents.items()}
     from_coords = {g: e for e, g in to_coords.items()}
     if len(from_coords) != n:
         raise ValueError("presentation did not separate the elements")
+    coords = {x: g.coords for x, g in to_coords.items()}
+    factors = group.invariant_factors
     for (a, b), c in table.items():
-        if group.add(to_coords[a], to_coords[b]) != to_coords[c]:
+        if tuple((x + y) % d for x, y, d in zip(coords[a], coords[b], factors)) != coords[c]:
             raise ValueError("addition table is not a finite abelian group table")
     return group, to_coords, from_coords

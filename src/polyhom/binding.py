@@ -85,11 +85,13 @@ class ActionTable:
     def _differences(self):
         """config -> (w, w2) -> coords of the unique gamma with
         gamma.w = w2, or None when several gammas do."""
+        elements = [g.coords for g in self.group.elements()]
         out = {}
         for config, ws in self.action.items():
             table = out[config] = {}
             for w, orbit in ws.items():
-                for coords, img in orbit.items():
+                for coords in elements:
+                    img = orbit.get(coords)
                     table[(w, img)] = None if (w, img) in table else coords
         return out
 
@@ -428,17 +430,11 @@ def verify_action(h: Polygroupoid, act: ActionTable) -> AxiomReport:
 
     def irregular():
         for config, ws in sorted(act.action.items()):
-            for w in sorted(ws):
-                hits = {}
-                for g in elements:
-                    hits.setdefault(ws[w].get(g), []).append(g)
-                for w2 in sorted(ws):
-                    if len(hits.get(w2, ())) != 1:
-                        yield {
-                            "config": list(config),
-                            "pair": [w, w2],
-                            "gammas": [list(g) for g in hits.get(w2, ())],
-                        }
+            differences = act._differences[config]
+            for w, w2 in itertools.product(sorted(ws), repeat=2):
+                if differences.get((w, w2)) is None:
+                    gammas = [list(g) for g in elements if ws[w].get(g) == w2]
+                    yield {"config": list(config), "pair": [w, w2], "gammas": gammas}
 
     validity = first_failure("action-validity", invalid())
     regularity = first_failure("regular-transitive", irregular())

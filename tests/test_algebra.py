@@ -394,6 +394,19 @@ class TestGroupFromAddition:
         assert {e: from_coords[c] for e, c in to_coords.items()} == {e: e for e in elems}
 
     @pytest.mark.parametrize(
+        "orders", [(2,), (9,), (16,), (2, 2, 2), (4, 4), (3, 9), (2, 4, 8), (256,), (16, 16)], ids=str
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shuffled_tables(self, orders, seed):
+        elems, add, zero = shuffled_table(orders, seed)
+        group, to_coords, from_coords = group_from_addition(elems, add, zero)
+        assert group == abelian_group(*orders)
+        assert to_coords[zero] == group.zero()
+        assert sorted(from_coords, key=lambda g: g.coords) == list(group.elements())
+        for a, b in itertools.product(elems, repeat=2):
+            assert group.add(to_coords[a], to_coords[b]) == to_coords[add(a, b)]
+
+    @pytest.mark.parametrize(
         "elems, add, zero, message",
         [
             pytest.param(*S3, "not a finite abelian group table", id="S3"),
@@ -401,6 +414,9 @@ class TestGroupFromAddition:
             pytest.param(range(4), lambda a, b: (a + b) % 4, 1, "not a finite abelian group table",
                          id="zero-not-neutral"),
             pytest.param(range(4), lambda a, b: a + b, 0, "leaves the element set", id="leaves-set"),
+            # 1 + 1 = 2 and 2 + 1 = 2: the multiples of 1 never return to 0.
+            pytest.param(range(3), lambda a, b: a or b if 0 in (a, b) else 2, 0,
+                         "not a finite abelian group table", id="multiples-never-return"),
         ],
     )
     def test_non_groups_rejected(self, elems, add, zero, message):

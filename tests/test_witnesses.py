@@ -230,18 +230,18 @@ def _digest(report_dict):
 PINNED = {
     "F1/cli-extract": (["action-law"], "3741ce325dfdd643"),
     "drop_q_tuple/horn-filling": (["horn-filling-count"], "c334bcc746bc68a3"),
-    "drop_q_tuple/verify_action": (["q-action-law"], "bf979131a8554cd9"),
+    "drop_q_tuple/verify_action": (["q-action-law"], "072cbae270000598"),
     "duplicate_horn/axioms": (["horn-uniqueness"], "dff076cb2ae66617"),
     "duplicate_horn/extract": (["horn-uniqueness"], "4df3d6837656dc7e"),
     "duplicate_horn/horn-filling": (["horn-filling-count"], "70f1dcd04e9c9762"),
-    "duplicate_horn/verify_action": (["q-action-law"], "542f99652a2abb36"),
+    "duplicate_horn/verify_action": (["q-action-law"], "ea644bf660183850"),
     "empty-fiber/extract": (["base-fiber"], "059d442e22ec866a"),
     "empty-union/verify_action": (["q-action-law"], "f806a0ed13f10148"),
     "epsilon-last-twist/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "a822e2aeefd03244"),
     "epsilon-raising/verdict": (["boundary-vanishing", "defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "eb64f3f7a703c03b"),
     "epsilon-zero-then-raising/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "dc137041179395ce"),
     "epsilon-zero/verdict": (["defect-vs-natural-iso", "twist-surjectivity", "pocket-group"], "cabb423fb7e849f6"),
-    "escaping-action/thread-action": (["thread-action-closure", "thread-action-regular-transitive"], "714c47a365027556"),
+    "escaping-action/thread-action": (["thread-action-closure", "thread-action-regular-transitive"], "71b943b90cbf451c"),
     "incomplete-orbit/extract": (["propagation"], "0725c9a70bbc17df"),
     "inconsistent/cli-extract": (["action-law"], "b222898cfb86986c"),
     "missing-hom/tower": (["hom-typing", "surjectivity", "functoriality"], "dbcea50201d83e1f"),
